@@ -110,6 +110,60 @@ int64_t sample0_top1(const Tensor& logits, size_t n_samples) {
   return best;
 }
 
+/// Whether a campaign over `cfg` injects at `site`. Skipped sites still
+/// advance the site index, keeping each layer's RNG streams stable under
+/// cfg.layers filtering.
+bool campaigned(const LayerSite& site, const CampaignConfig& cfg) {
+  if (!cfg.layers.empty() &&
+      std::find(cfg.layers.begin(), cfg.layers.end(), site.path) ==
+          cfg.layers.end()) {
+    return false;
+  }
+  // Value-only formats have no metadata campaign.
+  return cfg.site != InjectionSite::kMetadata ||
+         site.act_format->has_metadata();
+}
+
+/// The config-echo comparator shared by resume and merge: the first field
+/// where `a` and `b` disagree, or "" when both are states of the same
+/// campaign over the same model, batch and layer structure. Shard fields
+/// are left to the callers, which each have their own shard rule.
+std::string echo_mismatch(const CampaignProgress& a,
+                          const CampaignProgress& b) {
+  if (a.format_spec != b.format_spec) return "format";
+  if (a.site != b.site) return "injection site";
+  if (a.model != b.model) return "error model";
+  if (a.injections_per_layer != b.injections_per_layer) {
+    return "injections per layer";
+  }
+  if (a.num_bits != b.num_bits) return "bits per injection";
+  if (a.seed != b.seed) return "seed";
+  if (a.sites_per_trial != b.sites_per_trial) return "sites per trial";
+  if (!(a.ber == b.ber)) return "bit error rate";
+  if (a.burst_len != b.burst_len) return "burst length";
+  if (a.model_name != b.model_name) return "model";
+  if (a.eval_samples != b.eval_samples) return "sample count";
+  // Bitwise: any change to weights, batch, or kernels shows up here. The
+  // logit digest is the real tripwire — accuracy over a small batch is
+  // quantised coarsely enough for two different models to tie.
+  if (!(a.golden_accuracy == b.golden_accuracy) ||
+      a.golden_digest != b.golden_digest) {
+    return "golden reference — model weights or evaluation batch";
+  }
+  if (a.layers.size() != b.layers.size()) return "layer set";
+  for (size_t i = 0; i < a.layers.size(); ++i) {
+    const LayerProgress& la = a.layers[i];
+    const LayerProgress& lb = b.layers[i];
+    if (la.site_index != lb.site_index || la.path != lb.path ||
+        la.done.size() != lb.done.size() ||
+        la.outcomes.size() != la.done.size() ||
+        lb.outcomes.size() != lb.done.size()) {
+      return "layer '" + la.path + "'";
+    }
+  }
+  return "";
+}
+
 /// Validate a loaded checkpoint against the state a fresh run of this
 /// campaign would produce, then splice its completed trials into `fresh`.
 /// Any disagreement means the file belongs to a different campaign (or a
@@ -121,42 +175,15 @@ void apply_resume(CampaignProgress& fresh, const CampaignProgress& saved) {
         "resume: checkpoint does not match this campaign (different " +
         what + ")");
   };
-  if (saved.format_spec != fresh.format_spec) fail("format");
-  if (saved.site != fresh.site) fail("injection site");
-  if (saved.model != fresh.model) fail("error model");
-  if (saved.injections_per_layer != fresh.injections_per_layer) {
-    fail("injections per layer");
+  if (const std::string what = echo_mismatch(saved, fresh); !what.empty()) {
+    fail(what);
   }
-  if (saved.num_bits != fresh.num_bits) fail("bits per injection");
-  if (saved.seed != fresh.seed) fail("seed");
   if (saved.shards != fresh.shards || saved.shard_index != fresh.shard_index) {
     fail("shard partition");
   }
-  if (saved.sites_per_trial != fresh.sites_per_trial) {
-    fail("sites per trial");
-  }
-  if (!(saved.ber == fresh.ber)) fail("bit error rate");
-  if (saved.burst_len != fresh.burst_len) fail("burst length");
-  if (saved.model_name != fresh.model_name) fail("model");
-  if (saved.eval_samples != fresh.eval_samples) fail("sample count");
-  // Bitwise: any change to weights, batch, or kernels shows up here. The
-  // logit digest is the real tripwire — accuracy over a small batch is
-  // quantised coarsely enough for two different models to tie.
-  if (!(saved.golden_accuracy == fresh.golden_accuracy) ||
-      saved.golden_digest != fresh.golden_digest) {
-    fail("golden reference — model weights or evaluation batch changed");
-  }
-  if (saved.layers.size() != fresh.layers.size()) fail("layer set");
   for (size_t i = 0; i < fresh.layers.size(); ++i) {
-    const LayerProgress& sl = saved.layers[i];
-    LayerProgress& fl = fresh.layers[i];
-    if (sl.site_index != fl.site_index || sl.path != fl.path ||
-        sl.done.size() != fl.done.size() ||
-        sl.outcomes.size() != sl.done.size()) {
-      fail("layer '" + fl.path + "'");
-    }
-    fl.done = sl.done;
-    fl.outcomes = sl.outcomes;
+    fresh.layers[i].done = saved.layers[i].done;
+    fresh.layers[i].outcomes = saved.layers[i].outcomes;
   }
   obs::add(obs::Counter::kCampaignResumes);
   obs::log(1, "campaign: resumed from checkpoint with " +
@@ -293,21 +320,11 @@ CampaignProgress run_campaign_trials(nn::Module& model,
       fnv1a(kFnv1aBasis, golden.logits.cdata(),
             static_cast<size_t>(golden.logits.numel()) * sizeof(float));
 
-  // Enumerate the campaigned sites. Skipped sites still advance the site
-  // index, keeping each layer's RNG streams stable under cfg.layers
-  // filtering — and stable across save/resume/shard boundaries, since the
-  // index is persisted per layer.
+  // Enumerate the campaigned sites. The site index is persisted per layer,
+  // so RNG streams stay stable across save/resume/shard boundaries too.
   for (size_t li = 0; li < emu.sites().size(); ++li) {
     const LayerSite& site = emu.sites()[li];
-    if (!cfg.layers.empty() &&
-        std::find(cfg.layers.begin(), cfg.layers.end(), site.path) ==
-            cfg.layers.end()) {
-      continue;
-    }
-    if (cfg.site == InjectionSite::kMetadata &&
-        !site.act_format->has_metadata()) {
-      continue;  // value-only formats have no metadata campaign
-    }
+    if (!campaigned(site, cfg)) continue;
     LayerProgress lp;
     lp.site_index = li;
     lp.path = site.path;
@@ -331,11 +348,21 @@ CampaignProgress run_campaign_trials(nn::Module& model,
         std::to_string(static_cast<int64_t>(prog.layers.size()) * nT) +
         " trials");
   }
-  const auto lease_owns = [&](int64_t layer_pos, int64_t ti) {
-    if (!leased) return true;
-    const int64_t g = layer_pos * nT + ti;
-    return g >= opts.lease_lo && g < opts.lease_hi;
-  };
+  // The trials this run executes, per campaign layer: owned by the shard
+  // and the lease, and not already done.
+  std::vector<std::vector<int64_t>> pending(prog.layers.size());
+  int64_t hb_total = 0;
+  for (size_t lpos = 0; lpos < prog.layers.size(); ++lpos) {
+    for (int64_t ti = 0; ti < nT; ++ti) {
+      const int64_t g = static_cast<int64_t>(lpos) * nT + ti;
+      if (shard_owns(ti, opts.shards, opts.shard_index) &&
+          (!leased || (g >= opts.lease_lo && g < opts.lease_hi)) &&
+          prog.layers[lpos].done[static_cast<size_t>(ti)] == 0) {
+        pending[lpos].push_back(ti);
+      }
+    }
+    hb_total += static_cast<int64_t>(pending[lpos].size());
+  }
 
   // Analytics are capture-gated: with no report stream and metrics off the
   // trial loop does no clock reads, no meta copies, and no histogram
@@ -345,17 +372,6 @@ CampaignProgress run_campaign_trials(nn::Module& model,
   const bool capture = opts.run_log != nullptr || obs::metrics_enabled();
   const bool heartbeat_on =
       opts.run_log != nullptr || obs::metrics_enabled() || obs::log_level() >= 1;
-  int64_t hb_total = 0;
-  for (size_t lpos = 0; lpos < prog.layers.size(); ++lpos) {
-    const LayerProgress& lp = prog.layers[lpos];
-    for (int64_t ti = 0; ti < nT; ++ti) {
-      if (shard_owns(ti, opts.shards, opts.shard_index) &&
-          lease_owns(static_cast<int64_t>(lpos), ti) &&
-          lp.done[static_cast<size_t>(ti)] == 0) {
-        ++hb_total;
-      }
-    }
-  }
   const int64_t run_t0 = heartbeat_on ? obs::now_ns() : 0;
   obs::Histogram* h_latency = nullptr;
   obs::Histogram* h_delta = nullptr;
@@ -377,18 +393,11 @@ CampaignProgress run_campaign_trials(nn::Module& model,
   int64_t executed = 0;
   bool aborted = false;
 
-  for (LayerProgress& lp : prog.layers) {
-    const int64_t layer_pos = &lp - prog.layers.data();
+  for (size_t lpos = 0; lpos < prog.layers.size(); ++lpos) {
+    LayerProgress& lp = prog.layers[lpos];
+    const std::vector<int64_t>& todo = pending[lpos];
+    if (todo.empty()) continue;
     LayerSite& site = emu.sites()[static_cast<size_t>(lp.site_index)];
-    std::vector<int64_t> pending;
-    pending.reserve(static_cast<size_t>(nT));
-    for (int64_t ti = 0; ti < nT; ++ti) {
-      if (shard_owns(ti, opts.shards, opts.shard_index) &&
-          lease_owns(layer_pos, ti) && !lp.done[ti]) {
-        pending.push_back(ti);
-      }
-    }
-    if (pending.empty()) continue;
 
     // Companion pool for multi-point trials: instrumented sites strictly
     // after the campaigned one (disjoint suffix segments — a companion
@@ -432,18 +441,18 @@ CampaignProgress run_campaign_trials(nn::Module& model,
 
     const int64_t block = opts.checkpoint_every > 0
                               ? opts.checkpoint_every
-                              : static_cast<int64_t>(pending.size());
-    for (size_t start = 0; start < pending.size() && !aborted;
+                              : static_cast<int64_t>(todo.size());
+    for (size_t start = 0; start < todo.size() && !aborted;
          start += static_cast<size_t>(block)) {
       const int64_t cnt = std::min<int64_t>(
-          block, static_cast<int64_t>(pending.size() - start));
+          block, static_cast<int64_t>(todo.size() - start));
       std::vector<TrialMeta> metas;
       if (capture) metas.assign(static_cast<size_t>(cnt), TrialMeta{});
       parallel::parallel_for_workers(
           0, cnt, /*grain=*/1, nctx, [&](int slot, int64_t lo, int64_t hi) {
             WorkerCtx& ctx = ctxs[static_cast<size_t>(slot)];
             for (int64_t k = lo; k < hi; ++k) {
-              const int64_t ti = pending[start + static_cast<size_t>(k)];
+              const int64_t ti = todo[start + static_cast<size_t>(k)];
               // Worker threads don't inherit the campaign's AttrScope
               // (attribution is thread-local): re-establish it per trial.
               obs::AttrScope trial_attr(cfg.format_spec, site.path);
@@ -532,7 +541,7 @@ CampaignProgress run_campaign_trials(nn::Module& model,
             }
           });
       for (int64_t k = 0; k < cnt; ++k) {
-        lp.done[static_cast<size_t>(pending[start + static_cast<size_t>(k)])] =
+        lp.done[static_cast<size_t>(todo[start + static_cast<size_t>(k)])] =
             1;
       }
       executed += cnt;
@@ -540,7 +549,7 @@ CampaignProgress run_campaign_trials(nn::Module& model,
       obs::add(obs::Counter::kTrials, static_cast<uint64_t>(cnt));
       if (capture) {
         for (int64_t k = 0; k < cnt; ++k) {
-          const int64_t ti = pending[start + static_cast<size_t>(k)];
+          const int64_t ti = todo[start + static_cast<size_t>(k)];
           const FaultOutcome& o = lp.outcomes[static_cast<size_t>(ti)];
           const TrialMeta& m = metas[static_cast<size_t>(k)];
           h_latency->record(static_cast<double>(m.latency_ns) / 1000.0);
@@ -659,23 +668,11 @@ int64_t count_campaign_layers(nn::Module& model, const CampaignConfig& cfg) {
   model.eval();
   EmulatorConfig ecfg;
   ecfg.format_spec = cfg.format_spec;
-  // Same enumeration filters as run_campaign_trials; the Emulator restores
-  // the model on destruction, so this is a read-only probe.
+  // The Emulator restores the model on destruction: a read-only probe.
   Emulator emu(model, ecfg);
-  int64_t n = 0;
-  for (const LayerSite& site : emu.sites()) {
-    if (!cfg.layers.empty() &&
-        std::find(cfg.layers.begin(), cfg.layers.end(), site.path) ==
-            cfg.layers.end()) {
-      continue;
-    }
-    if (cfg.site == InjectionSite::kMetadata &&
-        !site.act_format->has_metadata()) {
-      continue;
-    }
-    ++n;
-  }
-  return n;
+  return std::count_if(
+      emu.sites().begin(), emu.sites().end(),
+      [&](const LayerSite& site) { return campaigned(site, cfg); });
 }
 
 CampaignResult finalize_campaign(const CampaignProgress& progress) {
@@ -733,27 +730,10 @@ CampaignProgress merge_campaign_progress(
       throw io::IoError("merge: input " + std::to_string(i) +
                         " does not match input 0 (different " + what + ")");
     };
-    if (p.format_spec != merged.format_spec) fail("format");
-    if (p.site != merged.site) fail("injection site");
-    if (p.model != merged.model) fail("error model");
-    if (p.injections_per_layer != merged.injections_per_layer) {
-      fail("injections per layer");
+    if (const std::string what = echo_mismatch(p, merged); !what.empty()) {
+      fail(what);
     }
-    if (p.num_bits != merged.num_bits) fail("bits per injection");
-    if (p.seed != merged.seed) fail("seed");
     if (p.shards != parts[0].shards) fail("shard count");
-    if (p.sites_per_trial != merged.sites_per_trial) {
-      fail("sites per trial");
-    }
-    if (!(p.ber == merged.ber)) fail("bit error rate");
-    if (p.burst_len != merged.burst_len) fail("burst length");
-    if (p.model_name != merged.model_name) fail("model");
-    if (p.eval_samples != merged.eval_samples) fail("sample count");
-    if (!(p.golden_accuracy == merged.golden_accuracy) ||
-        p.golden_digest != merged.golden_digest) {
-      fail("golden reference — shards ran different models or batches");
-    }
-    if (p.layers.size() != merged.layers.size()) fail("layer set");
     if (std::find(seen.begin(), seen.end(), p.shard_index) != seen.end()) {
       throw io::IoError("merge: duplicate shard index " +
                         std::to_string(p.shard_index));
@@ -762,10 +742,6 @@ CampaignProgress merge_campaign_progress(
     for (size_t j = 0; j < merged.layers.size(); ++j) {
       const LayerProgress& pl = p.layers[j];
       LayerProgress& ml = merged.layers[j];
-      if (pl.site_index != ml.site_index || pl.path != ml.path ||
-          pl.done.size() != ml.done.size()) {
-        fail("layer '" + ml.path + "'");
-      }
       for (size_t ti = 0; ti < pl.done.size(); ++ti) {
         if (!pl.done[ti]) continue;
         if (ml.done[ti]) {

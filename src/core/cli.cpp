@@ -24,6 +24,7 @@
 #include "net/client.hpp"
 #include "net/frame.hpp"
 #include "net/server.hpp"
+#include "net/session.hpp"
 #include "nn/loss.hpp"
 #include "obs/metrics_server.hpp"
 #include "obs/perf_counters.hpp"
@@ -139,6 +140,34 @@ const std::vector<OptionDesc>& global_options() {
   return kGlobal;
 }
 
+/// The campaign-spec flags `campaign` and `submit` share, as
+/// parse_campaign_spec reads them.
+std::vector<OptionDesc> campaign_spec_options() {
+  return {
+      {"format", "F", "format spec (see 'formats')"},
+      {"site", "S", "injection site: value|weight|metadata"},
+      {"error-model", "E", "flip|sa0|sa1|ber|burst"},
+      {"inject-scope", "S", "layer (classic single-element) | channel | "
+                            "row: hit a whole activation channel/row"},
+      {"ber", "X", "bit error rate in (0,1]: required for --error-model "
+                   "ber, optional thinning for channel/row scopes"},
+      {"burst-len", "N", "contiguous bits flipped by --error-model burst "
+                         "(default 2)"},
+      {"injections", "N", "injections per layer"},
+      {"seed", "S", "campaign RNG seed"},
+      {"prefix-cache", "on|off", "golden-prefix suffix-replay cache "
+                                 "(default on; bitwise-identical results)"},
+      {"sites-per-trial", "K", "faults per trial: 1 classic, >1 adds "
+                               "companion faults at later layers"},
+  };
+}
+
+std::vector<OptionDesc> concat(std::vector<OptionDesc> a,
+                               const std::vector<OptionDesc>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
 const std::vector<CommandDesc>& command_table() {
   static const std::vector<CommandDesc> kCommands = {
       {"accuracy",
@@ -147,27 +176,17 @@ const std::vector<CommandDesc>& command_table() {
        true},
       {"campaign",
        "per-layer fault-injection campaign",
-       {{"format", "F", "format spec (see 'formats')"},
-        {"site", "S", "injection site: value|weight|metadata"},
-        {"error-model", "E", "flip|sa0|sa1|ber|burst"},
-        {"inject-scope", "S", "layer (classic single-element) | channel | "
-                              "row: hit a whole activation channel/row"},
-        {"ber", "X", "bit error rate in (0,1]: required for --error-model "
-                     "ber, optional thinning for channel/row scopes"},
-        {"burst-len", "N", "contiguous bits flipped by --error-model burst "
-                           "(default 2)"},
-        {"injections", "N", "injections per layer"},
-        {"seed", "S", "campaign RNG seed"},
-        {"checkpoint", "FILE", "progress .gec file (written atomically)"},
-        {"checkpoint-every", "N", "checkpoint after every N trials (N >= 1)"},
-        {"resume", "FILE", "continue from a progress .gec file"},
-        {"shards", "N", "partition the trial space into N shards"},
-        {"shard-index", "I", "which shard this process runs (0-based)"},
-        {"abort-after", "N", "stop after N trials (fault-tolerance drill)"},
-        {"prefix-cache", "on|off", "golden-prefix suffix-replay cache "
-                                   "(default on; bitwise-identical results)"},
-        {"sites-per-trial", "K", "faults per trial: 1 classic, >1 adds "
-                                 "companion faults at later layers"}},
+       concat(campaign_spec_options(),
+              {{"checkpoint", "FILE",
+                "progress .gec file (written atomically)"},
+               {"checkpoint-every", "N",
+                "checkpoint after every N trials (N >= 1)"},
+               {"resume", "FILE", "continue from a progress .gec file"},
+               {"shards", "N", "partition the trial space into N shards"},
+               {"shard-index", "I",
+                "which shard this process runs (0-based)"},
+               {"abort-after", "N",
+                "stop after N trials (fault-tolerance drill)"}}),
        true},
       {"train",
        "train (or load) a model; save/restore .gec checkpoints",
@@ -213,21 +232,14 @@ const std::vector<CommandDesc>& command_table() {
        false},
       {"submit",
        "send a campaign to a serve daemon; stream rows, print the digest",
-       {{"host", "H", "server address (default 127.0.0.1)"},
-        {"port", "N", "server port (required)"},
-        {"model", "M", "model name (mlp|simple_cnn|tiny_resnet|tiny_deit)"},
-        {"epochs", "N", "training epochs the server uses on a cold cache"},
-        {"samples", "N", "evaluation samples"},
-        {"format", "F", "format spec (see 'formats')"},
-        {"site", "S", "injection site: value|weight|metadata"},
-        {"error-model", "E", "flip|sa0|sa1|ber|burst"},
-        {"inject-scope", "S", "layer | channel | row"},
-        {"ber", "X", "bit error rate (as for 'campaign')"},
-        {"burst-len", "N", "contiguous bits for --error-model burst"},
-        {"injections", "N", "injections per layer"},
-        {"seed", "S", "campaign RNG seed"},
-        {"prefix-cache", "on|off", "golden-prefix suffix-replay cache"},
-        {"sites-per-trial", "K", "faults per trial"}},
+       concat({{"host", "H", "server address (default 127.0.0.1)"},
+               {"port", "N", "server port (required)"},
+               {"model", "M",
+                "model name (mlp|simple_cnn|tiny_resnet|tiny_deit)"},
+               {"epochs", "N",
+                "training epochs the server uses on a cold cache"},
+               {"samples", "N", "evaluation samples"}},
+              campaign_spec_options()),
        false},
       {"worker",
        "lease trial ranges from a serve daemon and execute them",
@@ -380,99 +392,74 @@ int cmd_accuracy(const ParsedArgs& p, std::ostream& out, std::ostream& err,
   return 0;
 }
 
-int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
-                 obs::RunLog* log) {
-  CampaignConfig cfg;
-  cfg.format_spec = get(p, "format", "");
-  if (!fmt::is_valid_spec(cfg.format_spec)) {
-    err << "campaign: bad or missing --format\n";
-    return 2;
+/// `--key`'s value looked up in a flag-name table; a spelling the table
+/// does not list is a usage error.
+template <typename Enum, size_t N>
+Enum parse_flag_name(const ParsedArgs& p, const std::string& key,
+                     const std::string& fallback,
+                     const net::FlagName<Enum> (&names)[N]) {
+  const std::string value = get(p, key, fallback);
+  for (const net::FlagName<Enum>& n : names) {
+    if (value == n.name) return n.value;
   }
-  const std::string site = get(p, "site", "value");
-  if (site == "value") {
-    cfg.site = InjectionSite::kActivationValue;
-  } else if (site == "weight") {
-    cfg.site = InjectionSite::kWeightValue;
-  } else if (site == "metadata") {
-    cfg.site = InjectionSite::kMetadata;
-  } else {
-    err << "campaign: unknown --site '" << site << "'\n";
-    return 2;
-  }
-  const std::string em = get(p, "error-model", "flip");
-  if (em == "flip") {
-    cfg.model = ErrorModel::kBitFlip;
-  } else if (em == "sa0") {
-    cfg.model = ErrorModel::kStuckAt0;
-  } else if (em == "sa1") {
-    cfg.model = ErrorModel::kStuckAt1;
-  } else if (em == "ber") {
-    cfg.model = ErrorModel::kBerUniform;
-  } else if (em == "burst") {
-    cfg.model = ErrorModel::kBurst;
-  } else {
-    err << "campaign: unknown --error-model '" << em << "'\n";
-    return 2;
-  }
+  throw UsageError("unknown --" + key + " '" + value + "'");
+}
+
+/// The one campaign flag parser, shared by `campaign` and `submit`. It
+/// keeps only rules about flags: spellings, flags the chosen error model
+/// does not use, and --inject-scope vs --error-model. Every rule about
+/// the values is net::campaign_spec_error's, run here before anything is
+/// trained or sent.
+net::CampaignSpecMsg parse_campaign_spec(const ParsedArgs& p) {
+  net::CampaignSpecMsg spec;
+  spec.model_name = get(p, "model", "simple_cnn");
+  spec.epochs = get_int(p, "epochs", 6);
+  spec.samples = get_int(p, "samples", 16);
+  spec.format_spec = get(p, "format", "");
+  spec.site = static_cast<uint8_t>(
+      parse_flag_name(p, "site", "value", net::kSiteNames));
+  ErrorModel model =
+      parse_flag_name(p, "error-model", "flip", net::kErrorModelNames);
   // Spatial scopes are error models of their own: a channel/row fault
   // perturbs the same bits in every element of one region. They own the
   // error-model slot, so only the default 'flip' may be combined.
   const std::string scope = get(p, "inject-scope", "layer");
-  std::string em_label = em;
-  if (scope == "channel" || scope == "row") {
-    if (em != "flip") {
+  if (scope != "layer") {
+    model = parse_flag_name(p, "inject-scope", "layer", net::kScopeNames);
+    if (get(p, "error-model", "flip") != "flip") {
       throw UsageError("--inject-scope " + scope +
                        " selects its own error model; drop --error-model");
     }
-    cfg.model = scope == "channel" ? ErrorModel::kChannel
-                                   : ErrorModel::kRowBurst;
-    em_label = to_string(cfg.model);
-  } else if (scope != "layer") {
-    err << "campaign: unknown --inject-scope '" << scope << "'\n";
-    return 2;
   }
-  cfg.ber = get_num(p, "ber", 0.0);
-  cfg.burst_len = static_cast<int>(get_int(p, "burst-len", 2));
-  if (cfg.model == ErrorModel::kBerUniform) {
-    if (!(cfg.ber > 0.0 && cfg.ber <= 1.0)) {
-      throw UsageError("--error-model ber requires --ber in (0, 1]");
-    }
-  } else if (cfg.model == ErrorModel::kChannel ||
-             cfg.model == ErrorModel::kRowBurst) {
-    if (cfg.ber < 0.0 || cfg.ber > 1.0) {
-      throw UsageError("--ber must be in [0, 1]");
-    }
-  } else if (p.options.count("ber") != 0) {
+  spec.error_model = static_cast<uint8_t>(model);
+  spec.ber = get_num(p, "ber", 0.0);
+  spec.burst_len = static_cast<int32_t>(get_int(p, "burst-len", 2));
+  if (p.options.count("ber") != 0 && model != ErrorModel::kBerUniform &&
+      model != ErrorModel::kChannel && model != ErrorModel::kRowBurst) {
     throw UsageError("--ber applies only to --error-model ber or "
                      "--inject-scope channel|row");
   }
-  if (p.options.count("burst-len") != 0 &&
-      cfg.model != ErrorModel::kBurst) {
+  if (p.options.count("burst-len") != 0 && model != ErrorModel::kBurst) {
     throw UsageError("--burst-len applies only to --error-model burst");
   }
-  if (cfg.burst_len < 1) {
-    throw UsageError("--burst-len must be >= 1");
-  }
-  if (is_zoo_model(cfg.model) &&
-      cfg.site != InjectionSite::kActivationValue) {
-    throw UsageError("error model '" + em_label +
-                     "' requires --site value (activations only)");
-  }
-  cfg.injections_per_layer = get_int(p, "injections", 50);
-  cfg.seed = static_cast<uint64_t>(get_int(p, "seed", 1234));
+  spec.injections_per_layer = get_int(p, "injections", 50);
+  spec.seed = static_cast<uint64_t>(get_int(p, "seed", 1234));
   const std::string prefix_cache = get(p, "prefix-cache", "on");
-  if (prefix_cache == "on") {
-    cfg.use_prefix_cache = true;
-  } else if (prefix_cache == "off") {
-    cfg.use_prefix_cache = false;
-  } else {
+  if (prefix_cache != "on" && prefix_cache != "off") {
     throw UsageError("--prefix-cache must be 'on' or 'off'");
   }
-  cfg.sites_per_trial = static_cast<int>(get_int(p, "sites-per-trial", 1));
-  if (cfg.sites_per_trial < 1) {
-    throw UsageError("--sites-per-trial must be >= 1");
+  spec.prefix_cache = prefix_cache == "on" ? 1 : 0;
+  spec.sites_per_trial =
+      static_cast<int32_t>(get_int(p, "sites-per-trial", 1));
+  if (const std::string error = net::campaign_spec_error(spec);
+      !error.empty()) {
+    throw UsageError(error);
   }
-  const int64_t samples = get_int(p, "samples", 16);
+  return spec;
+}
+
+int cmd_campaign(const ParsedArgs& p, std::ostream& out, obs::RunLog* log) {
+  const net::CampaignSpecMsg spec = parse_campaign_spec(p);
 
   // Persistence / sharding options (DESIGN.md §9). All misuse is a
   // UsageError so scripts can rely on exit 2 for their own mistakes.
@@ -507,20 +494,13 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
         "--shards > 1 requires --checkpoint FILE (shard results are "
         "merged from their .gec files)");
   }
-  write_run_header(log, p, cfg.format_spec, samples,
+  write_run_header(log, p, spec.format_spec, spec.samples,
                    p.options.count("resume") != 0);
 
-  data::SyntheticVision data{data::SyntheticVisionConfig{}};
-  auto tm = prepare_model(p, data);
-  const auto batch = data::take(data.test(), 0, samples);
-  // Replica factory lets trials fan out across pool workers; weights are
-  // copied from the trained primary, so the init seed here is irrelevant.
-  const std::string model_name = get(p, "model", "simple_cnn");
-  cfg.make_replica = [model_name]() {
-    return models::make_model(model_name, data::SyntheticVisionConfig{}, 0);
-  };
-  ropts.model_name = model_name;
-  ropts.eval_samples = samples;
+  net::PreparedCampaign prep = net::prepare_campaign(
+      spec, get(p, "cache", "/tmp/goldeneye_model_cache"));
+  ropts.model_name = spec.model_name;
+  ropts.eval_samples = spec.samples;
   ropts.run_log = log;  // per-trial "trial" + "heartbeat" records
   // Loading the resume file can throw io::IoError (missing, corrupt,
   // wrong campaign) — run_cli maps that to exit 2.
@@ -531,7 +511,8 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
     ropts.resume_from = &*resumed;
   }
 
-  const CampaignProgress prog = run_campaign_trials(*tm.model, batch, cfg, ropts);
+  const CampaignProgress prog = run_campaign_trials(
+      *prep.trained.model, prep.batch, prep.cfg, ropts);
   if (!ropts.checkpoint_path.empty()) {
     io::save_campaign_progress(ropts.checkpoint_path, prog);
   }
@@ -547,7 +528,7 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
     out << "progress saved: " << ropts.checkpoint_path << "\n";
     if (log != nullptr) {
       obs::JsonObject row;
-      row.str("format", cfg.format_spec)
+      row.str("format", spec.format_spec)
           .num("completed_trials", prog.completed_trials())
           .num("total_trials", prog.total_trials())
           .num("shards", static_cast<int64_t>(ropts.shards))
@@ -557,18 +538,9 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
     return 0;
   }
   const auto r = finalize_campaign(prog);
-  out << "campaign: " << cfg.format_spec << " site=" << site
-      << " error-model=" << em_label << " injections/layer="
-      << cfg.injections_per_layer << "\n";
-  out << "clean emulated accuracy: " << r.golden_accuracy << "\n";
-  out << std::left << std::setw(28) << "layer" << std::right << std::setw(12)
-      << "mean dLoss" << std::setw(10) << "SDC" << "\n";
-  for (const auto& l : r.layers) {
-    out << std::left << std::setw(28) << l.layer << std::right
-        << std::setw(12) << std::fixed << std::setprecision(5)
-        << l.mean_delta_loss << std::setw(9) << l.sdc_count << "/"
-        << l.injections << "\n";
-    if (log != nullptr) {
+  out << net::render_campaign_summary(spec, r);
+  if (log != nullptr) {
+    for (const auto& l : r.layers) {
       obs::JsonObject row;
       row.str("layer", l.layer)
           .num("injections", l.injections)
@@ -579,15 +551,10 @@ int cmd_campaign(const ParsedArgs& p, std::ostream& out, std::ostream& err,
           .num("mean_mismatch_rate", l.mean_mismatch_rate);
       log->event("campaign_layer", row);
     }
-  }
-  out << "network mean dLoss: " << r.network_mean_delta_loss() << "\n";
-  out << "campaign digest: 0x" << std::hex << campaign_digest(r) << std::dec
-      << "\n";
-  if (log != nullptr) {
     obs::JsonObject row;
-    row.str("format", cfg.format_spec)
-        .str("site", site)
-        .str("error_model", em_label)
+    row.str("format", spec.format_spec)
+        .str("site", net::site_label(prep.cfg.site))
+        .str("error_model", net::error_model_label(prep.cfg.model))
         .num("golden_accuracy", static_cast<double>(r.golden_accuracy))
         .num("network_mean_delta_loss", r.network_mean_delta_loss());
     log->event("campaign_summary", row);
@@ -1011,77 +978,6 @@ int parse_port(const ParsedArgs& p, bool required) {
   return static_cast<int>(port);
 }
 
-/// The submit command's half of cmd_campaign's option parsing: the same
-/// flags, mapped onto the wire spec instead of a local CampaignConfig.
-/// Validation here catches typos before a round-trip; the server's
-/// prepare_campaign re-validates with the same rules (a lying client is
-/// answered with kError, not trusted).
-net::CampaignSpecMsg parse_campaign_spec(const ParsedArgs& p) {
-  net::CampaignSpecMsg spec;
-  spec.model_name = get(p, "model", "simple_cnn");
-  spec.epochs = get_int(p, "epochs", 6);
-  spec.samples = get_int(p, "samples", 16);
-  spec.format_spec = get(p, "format", "");
-  if (!fmt::is_valid_spec(spec.format_spec)) {
-    throw UsageError("bad or missing --format");
-  }
-  const std::string site = get(p, "site", "value");
-  InjectionSite site_e = InjectionSite::kActivationValue;
-  if (site == "value") {
-    site_e = InjectionSite::kActivationValue;
-  } else if (site == "weight") {
-    site_e = InjectionSite::kWeightValue;
-  } else if (site == "metadata") {
-    site_e = InjectionSite::kMetadata;
-  } else {
-    throw UsageError("unknown --site '" + site + "'");
-  }
-  const std::string em = get(p, "error-model", "flip");
-  ErrorModel model_e = ErrorModel::kBitFlip;
-  if (em == "flip") {
-    model_e = ErrorModel::kBitFlip;
-  } else if (em == "sa0") {
-    model_e = ErrorModel::kStuckAt0;
-  } else if (em == "sa1") {
-    model_e = ErrorModel::kStuckAt1;
-  } else if (em == "ber") {
-    model_e = ErrorModel::kBerUniform;
-  } else if (em == "burst") {
-    model_e = ErrorModel::kBurst;
-  } else {
-    throw UsageError("unknown --error-model '" + em + "'");
-  }
-  const std::string scope = get(p, "inject-scope", "layer");
-  if (scope == "channel" || scope == "row") {
-    if (em != "flip") {
-      throw UsageError("--inject-scope " + scope +
-                       " selects its own error model; drop --error-model");
-    }
-    model_e = scope == "channel" ? ErrorModel::kChannel
-                                 : ErrorModel::kRowBurst;
-  } else if (scope != "layer") {
-    throw UsageError("unknown --inject-scope '" + scope + "'");
-  }
-  spec.site = static_cast<uint8_t>(site_e);
-  spec.error_model = static_cast<uint8_t>(model_e);
-  spec.ber = get_num(p, "ber", 0.0);
-  spec.burst_len = static_cast<int32_t>(get_int(p, "burst-len", 2));
-  if (model_e == ErrorModel::kBerUniform &&
-      !(spec.ber > 0.0 && spec.ber <= 1.0)) {
-    throw UsageError("--error-model ber requires --ber in (0, 1]");
-  }
-  spec.injections_per_layer = get_int(p, "injections", 50);
-  spec.seed = static_cast<uint64_t>(get_int(p, "seed", 1234));
-  const std::string prefix_cache = get(p, "prefix-cache", "on");
-  if (prefix_cache != "on" && prefix_cache != "off") {
-    throw UsageError("--prefix-cache must be 'on' or 'off'");
-  }
-  spec.prefix_cache = prefix_cache == "on" ? 1 : 0;
-  spec.sites_per_trial =
-      static_cast<int32_t>(get_int(p, "sites-per-trial", 1));
-  return spec;
-}
-
 int cmd_serve(const ParsedArgs& p, std::ostream& err, obs::RunLog* log) {
   net::ServeOptions so;
   so.port = parse_port(p, /*required=*/false);
@@ -1302,7 +1198,7 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     if (parsed->command == "accuracy") {
       code = cmd_accuracy(*parsed, out, err, log.get());
     } else if (parsed->command == "campaign") {
-      code = cmd_campaign(*parsed, out, err, log.get());
+      code = cmd_campaign(*parsed, out, log.get());
     } else if (parsed->command == "train") {
       code = cmd_train(*parsed, out, err, log.get());
     } else if (parsed->command == "merge") {

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <iomanip>
 #include <optional>
 #include <thread>
 
@@ -93,8 +92,6 @@ int run_submit(const SubmitOptions& opts, obs::RunLog* report,
       case FrameType::kDone: {
         const DoneMsg done = decode_done(f->payload, chan.context());
         out << done.summary;
-        out << "campaign digest: 0x" << std::hex << done.digest << std::dec
-            << "\n";
         return 0;
       }
       case FrameType::kCheckpointed: {

@@ -101,7 +101,7 @@ struct HeartbeatMsg {
 struct DoneMsg {
   uint64_t digest = 0;  ///< campaign_digest(finalize_campaign(...))
   float golden_accuracy = 0.0f;
-  std::string summary;  ///< the offline CLI's stdout table, verbatim
+  std::string summary;  ///< the offline CLI's stdout, verbatim
 };
 
 struct ErrorMsg {

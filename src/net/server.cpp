@@ -584,11 +584,16 @@ void Server::execute(const std::shared_ptr<Campaign>& c) {
   obs::Span exec_span("net", "execute", "campaign_" + std::to_string(c->id));
   try {
     PreparedCampaign prep = prepare_campaign(c->spec, opts_.cache_dir);
-    const int64_t chunk =
-        opts_.lease_chunk > 0
-            ? opts_.lease_chunk
-            : std::max<int64_t>(1, (prep.total_trials + 7) / 8);
-    c->leases.reset(prep.total_trials, chunk);
+    // Sized here rather than in prepare_campaign: the lease table is the
+    // only reader, and counting attaches a whole Emulator that workers and
+    // the offline CLI need not pay for.
+    const int64_t total_trials =
+        core::count_campaign_layers(*prep.trained.model, prep.cfg) *
+        prep.cfg.injections_per_layer;
+    const int64_t chunk = opts_.lease_chunk > 0
+                              ? opts_.lease_chunk
+                              : std::max<int64_t>(1, (total_trials + 7) / 8);
+    c->leases.reset(total_trials, chunk);
 
     // Rows stream through the submit channel as they are produced. If the
     // client disconnects mid-campaign the stream goes bad (badbit — the

@@ -1,5 +1,6 @@
 #include "net/session.hpp"
 
+#include <algorithm>
 #include <iomanip>
 #include <sstream>
 
@@ -61,38 +62,71 @@ void LineFrameBuf::emit_line() {
   line_.clear();
 }
 
-PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
-                                  const std::string& cache_dir) {
-  // Same validation the campaign CLI applies to its flags: a bad spec is
-  // a diagnosed protocol-level error, never a crash deep in the stack.
-  if (!fmt::is_valid_spec(spec.format_spec)) {
-    throw NetError("campaign spec: bad format '" + spec.format_spec + "'");
+namespace {
+
+template <typename Enum, size_t N>
+const char* name_of(const FlagName<Enum> (&names)[N], Enum value) {
+  for (const FlagName<Enum>& n : names) {
+    if (n.value == value) return n.name;
   }
+  return nullptr;
+}
+
+}  // namespace
+
+const char* site_label(core::InjectionSite site) {
+  const char* name = name_of(kSiteNames, site);
+  return name != nullptr ? name : core::to_string(site);
+}
+
+const char* error_model_label(core::ErrorModel model) {
+  const char* name = name_of(kErrorModelNames, model);
+  return name != nullptr ? name : core::to_string(model);
+}
+
+std::string campaign_spec_error(const CampaignSpecMsg& spec) {
+  const std::vector<std::string> models = models::model_names();
+  if (std::find(models.begin(), models.end(), spec.model_name) ==
+      models.end()) {
+    return "unknown --model '" + spec.model_name + "'";
+  }
+  if (!fmt::is_valid_spec(spec.format_spec)) return "bad or missing --format";
   if (spec.site > static_cast<uint8_t>(core::InjectionSite::kMetadata)) {
-    throw NetError("campaign spec: unknown injection site byte " +
-                   std::to_string(spec.site));
+    return "unknown injection site byte " + std::to_string(spec.site);
   }
   if (spec.error_model > static_cast<uint8_t>(core::ErrorModel::kChannel)) {
-    throw NetError("campaign spec: unknown error model byte " +
-                   std::to_string(spec.error_model));
+    return "unknown error model byte " + std::to_string(spec.error_model);
   }
-  if (spec.injections_per_layer < 1) {
-    throw NetError("campaign spec: injections_per_layer must be >= 1");
+  const int64_t max_samples = data::SyntheticVisionConfig{}.test_count;
+  if (spec.samples < 1 || spec.samples > max_samples) {
+    return "--samples must be in [1, " + std::to_string(max_samples) + "]";
   }
-  if (spec.samples < 1) {
-    throw NetError("campaign spec: samples must be >= 1");
+  if (spec.epochs < 1) return "--epochs must be >= 1";
+  if (spec.injections_per_layer < 1) return "--injections must be >= 1";
+  if (spec.sites_per_trial < 1) return "--sites-per-trial must be >= 1";
+  if (spec.burst_len < 1) return "--burst-len must be >= 1";
+  const auto model = static_cast<core::ErrorModel>(spec.error_model);
+  if (model == core::ErrorModel::kBerUniform &&
+      !(spec.ber > 0.0 && spec.ber <= 1.0)) {
+    return "--error-model ber requires --ber in (0, 1]";
   }
-  if (spec.epochs < 1) {
-    throw NetError("campaign spec: epochs must be >= 1");
+  if (!(spec.ber >= 0.0 && spec.ber <= 1.0)) return "--ber must be in [0, 1]";
+  if (core::is_zoo_model(model) &&
+      static_cast<core::InjectionSite>(spec.site) !=
+          core::InjectionSite::kActivationValue) {
+    return std::string("error model '") + error_model_label(model) +
+           "' requires --site value (activations only)";
   }
-  if (spec.sites_per_trial < 1) {
-    throw NetError("campaign spec: sites_per_trial must be >= 1");
-  }
-  if (spec.burst_len < 1) {
-    throw NetError("campaign spec: burst_len must be >= 1");
-  }
+  return "";
+}
 
-  core::CampaignConfig cfg;
+PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
+                                  const std::string& cache_dir) {
+  if (const std::string error = campaign_spec_error(spec); !error.empty()) {
+    throw NetError("campaign spec: " + error);
+  }
+  PreparedCampaign out;
+  core::CampaignConfig& cfg = out.cfg;
   cfg.format_spec = spec.format_spec;
   cfg.site = static_cast<core::InjectionSite>(spec.site);
   cfg.model = static_cast<core::ErrorModel>(spec.error_model);
@@ -102,21 +136,7 @@ PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
   cfg.ber = spec.ber;
   cfg.burst_len = spec.burst_len;
   cfg.use_prefix_cache = spec.prefix_cache != 0;
-  if (cfg.model == core::ErrorModel::kBerUniform &&
-      !(cfg.ber > 0.0 && cfg.ber <= 1.0)) {
-    throw NetError("campaign spec: error model 'ber' requires ber in (0, 1]");
-  }
-  if (cfg.ber < 0.0 || cfg.ber > 1.0) {
-    throw NetError("campaign spec: ber must be in [0, 1]");
-  }
-  if (core::is_zoo_model(cfg.model) &&
-      cfg.site != core::InjectionSite::kActivationValue) {
-    throw NetError("campaign spec: error model '" +
-                   std::string(core::to_string(cfg.model)) +
-                   "' requires the activation-value site");
-  }
 
-  PreparedCampaign out;
   data::SyntheticVision data{data::SyntheticVisionConfig{}};
   models::TrainConfig tc;
   tc.epochs = spec.epochs;
@@ -127,14 +147,12 @@ PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
                    spec.model_name + "': " + e.what());
   }
   out.batch = data::take(data.test(), 0, spec.samples);
+  // Replica factory lets trials fan out across pool workers; weights are
+  // copied from the trained primary, so the init seed here is irrelevant.
   const std::string model_name = spec.model_name;
   cfg.make_replica = [model_name]() {
     return models::make_model(model_name, data::SyntheticVisionConfig{}, 0);
   };
-  out.total_trials =
-      core::count_campaign_layers(*out.trained.model, cfg) *
-      cfg.injections_per_layer;
-  out.cfg = std::move(cfg);
   return out;
 }
 
@@ -142,9 +160,9 @@ std::string render_campaign_summary(const CampaignSpecMsg& spec,
                                     const core::CampaignResult& result) {
   std::ostringstream out;
   out << "campaign: " << spec.format_spec << " site="
-      << core::to_string(static_cast<core::InjectionSite>(spec.site))
+      << site_label(static_cast<core::InjectionSite>(spec.site))
       << " error-model="
-      << core::to_string(static_cast<core::ErrorModel>(spec.error_model))
+      << error_model_label(static_cast<core::ErrorModel>(spec.error_model))
       << " injections/layer=" << spec.injections_per_layer << "\n";
   out << "clean emulated accuracy: " << result.golden_accuracy << "\n";
   out << std::left << std::setw(28) << "layer" << std::right << std::setw(12)
@@ -155,8 +173,10 @@ std::string render_campaign_summary(const CampaignSpecMsg& spec,
         << l.mean_delta_loss << std::setw(9) << l.sdc_count << "/"
         << l.injections << "\n";
   }
-  out.unsetf(std::ios::fixed);
+  // The network mean keeps the layer table's number format.
   out << "network mean dLoss: " << result.network_mean_delta_loss() << "\n";
+  out << "campaign digest: 0x" << std::hex << core::campaign_digest(result)
+      << "\n";
   return out.str();
 }
 

@@ -10,16 +10,18 @@
 //    turns run_campaign_trials' report stream into live row streaming —
 //    the rows on the wire are the exact bytes an offline --report run
 //    would have written.
-//  - prepare_campaign: CampaignSpecMsg -> ready-to-run model, batch and
-//    CampaignConfig. The spec's trace context rides along untouched:
+//  - The campaign-spec path shared by `campaign`, `submit`, `serve` and
+//    `worker`: flag-name tables, one validator, prepare_campaign
+//    (CampaignSpecMsg -> ready-to-run model, batch and CampaignConfig) and
+//    one summary renderer. The spec's trace context rides along untouched:
 //    callers that want their spans in the submit client's trace install
 //    an obs::TraceContextScope from spec.trace_id/parent_span_id first
 //    (telemetry only — results are bitwise independent of tracing).
-//    The server's executor and every worker call this
-//    against their own cache dir; deterministic synthetic training makes
-//    the weights bitwise identical across processes, and the
-//    golden-digest check in merge_campaign_progress turns any divergence
-//    into a diagnosed error instead of silently mixed statistics.
+//    Every process prepares against its own cache dir; deterministic
+//    synthetic training makes the weights bitwise identical across
+//    processes, and the golden-digest check in merge_campaign_progress
+//    turns any divergence into a diagnosed error instead of silently
+//    mixed statistics.
 #pragma once
 
 #include <cstdint>
@@ -92,26 +94,64 @@ class LineFrameStream : public std::ostream {
   LineFrameBuf buf_;
 };
 
-/// A campaign reconstructed from its wire spec: trained model, evaluation
-/// batch, and the CampaignConfig (with replica factory) ready for
+/// A flag spelling of one campaign-spec enum value. These tables are the
+/// only place a spelling exists: the CLI parses `--site`, `--error-model`
+/// and `--inject-scope` through them and render_campaign_summary prints
+/// through them.
+template <typename Enum>
+struct FlagName {
+  const char* name;
+  Enum value;
+};
+
+inline constexpr FlagName<core::InjectionSite> kSiteNames[] = {
+    {"value", core::InjectionSite::kActivationValue},
+    {"weight", core::InjectionSite::kWeightValue},
+    {"metadata", core::InjectionSite::kMetadata},
+};
+inline constexpr FlagName<core::ErrorModel> kErrorModelNames[] = {
+    {"flip", core::ErrorModel::kBitFlip},
+    {"sa0", core::ErrorModel::kStuckAt0},
+    {"sa1", core::ErrorModel::kStuckAt1},
+    {"ber", core::ErrorModel::kBerUniform},
+    {"burst", core::ErrorModel::kBurst},
+};
+/// Spatial scopes own the error-model slot ("layer" selects none of these).
+inline constexpr FlagName<core::ErrorModel> kScopeNames[] = {
+    {"channel", core::ErrorModel::kChannel},
+    {"row", core::ErrorModel::kRowBurst},
+};
+
+/// The label a campaign's output shows for its site and error model: the
+/// flag spelling, or core::to_string for the scope-selected models.
+const char* site_label(core::InjectionSite site);
+const char* error_model_label(core::ErrorModel model);
+
+/// The one campaign-spec validator: empty when `spec` can run, otherwise
+/// what is wrong with it, phrased in the CLI's flag names. The CLI raises
+/// it as a usage error before training anything; prepare_campaign raises
+/// it as a NetError (a lying client is answered, not trusted).
+std::string campaign_spec_error(const CampaignSpecMsg& spec);
+
+/// A campaign reconstructed from its spec: trained model, evaluation batch,
+/// and the CampaignConfig (with replica factory) ready for
 /// run_campaign_trials.
 struct PreparedCampaign {
   models::TrainedModel trained;
   data::Batch batch;
   core::CampaignConfig cfg;
-  int64_t total_trials = 0;  ///< campaigned layers * injections_per_layer
 };
 
-/// Validate `spec` and build the campaign exactly as `goldeneye campaign`
-/// would (same model cache contract, same replica factory, same batch
-/// slice). Throws NetError on an invalid spec — bad format string, out of
-/// range site/error-model byte, unknown model name.
+/// Validate `spec` and build its campaign. `goldeneye campaign`, the
+/// server's executor and every worker all prepare through here, against
+/// their own cache dir. Throws NetError on an invalid spec or a model that
+/// cannot be prepared.
 PreparedCampaign prepare_campaign(const CampaignSpecMsg& spec,
                                   const std::string& cache_dir);
 
-/// The offline CLI's stdout report for a finished campaign (layer table,
-/// accuracies, digest line) rendered to a string — the kDone summary the
-/// submit client prints verbatim.
+/// A finished campaign's stdout report (header, layer table, accuracies,
+/// digest line): what `goldeneye campaign` prints, and the kDone summary
+/// the submit client prints verbatim.
 std::string render_campaign_summary(const CampaignSpecMsg& spec,
                                     const core::CampaignResult& result);
 

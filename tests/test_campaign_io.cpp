@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -298,6 +299,76 @@ TEST(CampaignMerge, RejectsDuplicateAndOverlappingShards) {
   EXPECT_THROW(merge_campaign_progress({shard0, other}), io::IoError);
 
   EXPECT_THROW(merge_campaign_progress({}), std::invalid_argument);
+}
+
+TEST(CampaignEcho, EveryEchoFieldIsComparedByResumeAndMerge) {
+  // One comparator serves resume and merge: perturbing any single echo
+  // field must make both refuse the state, naming that field.
+  ThreadGuard guard;
+  parallel::set_num_threads(2);
+  const CampaignConfig cfg = campaign_cfg();
+  Fixture f;
+  CampaignRunOptions opts;
+  opts.model_name = "simple_cnn";
+  opts.eval_samples = 8;
+  const CampaignProgress done =
+      run_campaign_trials(*f.model, f.batch, cfg, opts);
+  opts.shards = 2;
+  opts.shard_index = 0;
+  const CampaignProgress shard0 =
+      run_campaign_trials(*f.model, f.batch, cfg, opts);
+  opts.shard_index = 1;
+  const CampaignProgress shard1 =
+      run_campaign_trials(*f.model, f.batch, cfg, opts);
+  opts.shards = 1;
+  opts.shard_index = 0;
+  ASSERT_NO_THROW(merge_campaign_progress({shard0, shard1}));
+
+  struct Perturbation {
+    const char* field;  ///< as the error names it
+    std::function<void(CampaignProgress&)> apply;
+  };
+  const std::vector<Perturbation> table = {
+      {"format)", [](CampaignProgress& p) { p.format_spec = "int8"; }},
+      {"injection site)",
+       [](CampaignProgress& p) { p.site = InjectionSite::kWeightValue; }},
+      {"error model)",
+       [](CampaignProgress& p) { p.model = ErrorModel::kStuckAt0; }},
+      {"injections per layer)",
+       [](CampaignProgress& p) { p.injections_per_layer += 1; }},
+      {"bits per injection)", [](CampaignProgress& p) { p.num_bits = 2; }},
+      {"seed)", [](CampaignProgress& p) { p.seed += 1; }},
+      {"sites per trial)", [](CampaignProgress& p) { p.sites_per_trial = 2; }},
+      {"bit error rate)", [](CampaignProgress& p) { p.ber = 0.5; }},
+      {"burst length)", [](CampaignProgress& p) { p.burst_len = 3; }},
+      {"model)", [](CampaignProgress& p) { p.model_name = "mlp"; }},
+      {"sample count)", [](CampaignProgress& p) { p.eval_samples = 9; }},
+      {"golden reference", [](CampaignProgress& p) { p.golden_digest ^= 1; }},
+  };
+  const auto expect_names = [](const std::function<void()>& fn,
+                               const std::string& field) {
+    try {
+      fn();
+      ADD_FAILURE() << "no io::IoError for a different " << field;
+    } catch (const io::IoError& e) {
+      EXPECT_NE(std::string(e.what()).find("(different " + field),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  for (const Perturbation& t : table) {
+    SCOPED_TRACE(t.field);
+    CampaignProgress saved = done;
+    t.apply(saved);
+    CampaignRunOptions ropts = opts;
+    ropts.resume_from = &saved;
+    expect_names([&] { run_campaign_trials(*f.model, f.batch, cfg, ropts); },
+                 t.field);
+
+    CampaignProgress part = shard1;
+    t.apply(part);
+    expect_names([&] { merge_campaign_progress({shard0, part}); }, t.field);
+  }
 }
 
 TEST(CampaignMerge, PartialMergeCanBeResumedToCompletion) {

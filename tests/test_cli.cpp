@@ -3,6 +3,7 @@
 // plus one real accuracy invocation against a cached model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -83,6 +84,59 @@ TEST(Cli, CampaignValidatesSiteAndErrorModel) {
                 .code,
             2);
   EXPECT_EQ(run({"campaign", "--format", "bogus"}).code, 2);
+}
+
+TEST(Cli, CampaignOutOfRangeCountsExitTwoNamingTheFlag) {
+  // Validated before any model is trained: none of these may crash, run,
+  // or fail as an internal error.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"--samples", "0"}, "--samples"},
+       {{"--injections", "0"}, "--injections"},
+       {{"--injections", "-1"}, "--injections"}};
+  for (const auto& [flags, name] : cases) {
+    std::vector<std::string> args = {"campaign", "--model", "mlp",
+                                     "--format", "int8", "--epochs", "1",
+                                     "--cache", "/tmp/ge_cli_cache"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    const auto r = run(args);
+    EXPECT_EQ(r.code, 2) << flags[0] << " " << flags[1];
+    EXPECT_NE(r.err.find(name), std::string::npos) << r.err;
+    EXPECT_EQ(r.out.find("campaign digest"), std::string::npos) << r.out;
+  }
+}
+
+TEST(Cli, CampaignAndSubmitRejectInvalidSpecsAlike) {
+  // `campaign` and `submit` share one parser and one validator, so an
+  // invalid spec gets the same exit code and message from both, and
+  // submit refuses it before connecting (port 1 would refuse otherwise).
+  const std::vector<std::vector<std::string>> cases = {
+      {"--burst-len", "3"},
+      {"--ber", "0.5"},
+      {"--sites-per-trial", "0"},
+      {"--injections", "0"},
+      {"--error-model", "burst", "--site", "weight"},
+  };
+  const auto message = [](const std::string& err, const std::string& cmd) {
+    EXPECT_EQ(err.rfind(cmd + ": ", 0), 0u) << err;
+    return err.substr(std::min(err.size(), cmd.size() + 2));
+  };
+  for (const auto& flags : cases) {
+    SCOPED_TRACE(flags[0]);
+    std::vector<std::string> spec = {"--model", "mlp", "--format", "int8",
+                                     "--epochs", "1"};
+    spec.insert(spec.end(), flags.begin(), flags.end());
+    std::vector<std::string> campaign = {"campaign"};
+    campaign.insert(campaign.end(), spec.begin(), spec.end());
+    std::vector<std::string> submit = {"submit", "--port", "1"};
+    submit.insert(submit.end(), spec.begin(), spec.end());
+
+    const auto c = run(campaign);
+    const auto s = run(submit);
+    EXPECT_EQ(c.code, 2);
+    EXPECT_EQ(s.code, 2);
+    EXPECT_EQ(message(c.err, "campaign"), message(s.err, "submit"));
+    EXPECT_EQ(s.err.find("connect"), std::string::npos) << s.err;
+  }
 }
 
 TEST(Cli, DseRejectsUnknownFamily) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "core/cli.hpp"
 #include "io/campaign_state.hpp"
 #include "net/client.hpp"
 #include "net/codec.hpp"
@@ -476,6 +477,12 @@ CampaignSpecMsg e2e_spec() {
   return s;
 }
 
+/// The campaign's trial-space size, as the server sizes its lease table.
+int64_t total_trials(PreparedCampaign& prep) {
+  return core::count_campaign_layers(*prep.trained.model, prep.cfg) *
+         prep.cfg.injections_per_layer;
+}
+
 uint64_t offline_digest(const CampaignSpecMsg& spec) {
   PreparedCampaign prep = prepare_campaign(spec, kCacheDir);
   core::CampaignRunOptions opts;
@@ -491,10 +498,10 @@ TEST(LeasePartition, ArbitraryPartitionMergesBitwiseIdentical) {
   parallel::set_num_threads(2);
   const CampaignSpecMsg spec = e2e_spec();
   PreparedCampaign prep = prepare_campaign(spec, kCacheDir);
-  ASSERT_GT(prep.total_trials, 4);
+  const int64_t t = total_trials(prep);
+  ASSERT_GT(t, 4);
 
   // Uneven three-way cut of the global trial index space.
-  const int64_t t = prep.total_trials;
   const std::vector<std::pair<int64_t, int64_t>> cuts = {
       {0, 1}, {1, t / 2}, {t / 2, t}};
   std::vector<core::CampaignProgress> parts;
@@ -525,7 +532,7 @@ TEST(LeasePartition, BoundsAreValidated) {
   PreparedCampaign prep = prepare_campaign(spec, kCacheDir);
   core::CampaignRunOptions opts;
   opts.lease_lo = 0;
-  opts.lease_hi = prep.total_trials + 1;  // beyond the trial space
+  opts.lease_hi = total_trials(prep) + 1;  // beyond the trial space
   EXPECT_THROW(core::run_campaign_trials(*prep.trained.model, prep.batch,
                                          prep.cfg, opts),
                std::invalid_argument);
@@ -563,7 +570,8 @@ std::vector<std::string> trial_rows(const std::string& jsonl) {
 
 struct ServedRun {
   int code = 0;
-  std::string out;
+  std::string out;  ///< the submit client's stdout
+  std::string err;
   std::string report;
 };
 
@@ -592,7 +600,8 @@ ServedRun serve_and_submit(const CampaignSpecMsg& spec, ServeOptions sopts,
   sub.port = server.port();
   sub.spec = spec;
   r.code = run_submit(sub, &report, out, err);
-  r.out = out.str() + err.str();
+  r.out = out.str();
+  r.err = err.str();
   r.report = report_stream.str();
 
   serve.join();
@@ -617,14 +626,31 @@ TEST(ServeLoopback, ServedDigestMatchesOfflineAtOneAndFourThreads) {
     core::run_campaign_trials(*prep.trained.model, prep.batch, prep.cfg, opts);
   }
 
+  // The offline CLI's stdout for the same spec: the served stdout must be
+  // byte-identical to it, not just carry the same digest.
+  std::ostringstream offline_out, offline_err;
+  ASSERT_EQ(core::run_cli({"campaign", "--model", spec.model_name,
+                           "--epochs", std::to_string(spec.epochs),
+                           "--samples", std::to_string(spec.samples),
+                           "--format", spec.format_spec, "--injections",
+                           std::to_string(spec.injections_per_layer),
+                           "--seed", std::to_string(spec.seed), "--cache",
+                           kCacheDir},
+                          offline_out, offline_err),
+            0)
+      << offline_err.str();
+  ASSERT_EQ(parse_digest(offline_out.str()), offline1);
+
   const ServedRun r1 = serve_and_submit(spec, ServeOptions{});
-  ASSERT_EQ(r1.code, 0) << r1.out;
+  ASSERT_EQ(r1.code, 0) << r1.out << r1.err;
   EXPECT_EQ(parse_digest(r1.out), offline1);
+  EXPECT_EQ(r1.out, offline_out.str());
 
   parallel::set_num_threads(4);
   const ServedRun r4 = serve_and_submit(spec, ServeOptions{});
-  ASSERT_EQ(r4.code, 0) << r4.out;
+  ASSERT_EQ(r4.code, 0) << r4.out << r4.err;
   EXPECT_EQ(parse_digest(r4.out), offline1);
+  EXPECT_EQ(r4.out, offline_out.str());
 
   // The streamed rows are the exact bytes an offline --report run writes
   // (sorted: chunked execution reorders rows, never alters them).
@@ -653,7 +679,7 @@ TEST(ServeLoopback, WorkerExecutesLeasesAndDigestStillMatches) {
         w.idle_timeout_ms = 30000;  // backstop; kShutdown arrives first
         run_worker(w, worker_out, worker_err);
       });
-  ASSERT_EQ(r.code, 0) << r.out;
+  ASSERT_EQ(r.code, 0) << r.out << r.err;
   EXPECT_EQ(parse_digest(r.out), offline);
 }
 
@@ -676,7 +702,7 @@ TEST(ServeLoopback, KilledWorkerLeaseIsReclaimedAndDigestStillMatches) {
         w.drop_leases = 1;  // accept one grant, run nothing, drop the link
         run_worker(w, worker_out, worker_err);
       });
-  ASSERT_EQ(r.code, 0) << r.out;
+  ASSERT_EQ(r.code, 0) << r.out << r.err;
   EXPECT_EQ(parse_digest(r.out), offline);
   // The drill must actually have exercised the reclaim path: the worker
   // died holding a granted range, and the server logged the abandonment.
@@ -721,7 +747,7 @@ TEST(ServeLoopback, TracedCampaignsKeepDigestsAndFormOneTracePerCampaign) {
 
   // Campaign 1: single-threaded executor-only path.
   const ServedRun r1 = serve_and_submit(spec, ServeOptions{});
-  ASSERT_EQ(r1.code, 0) << r1.out;
+  ASSERT_EQ(r1.code, 0) << r1.out << r1.err;
   EXPECT_EQ(parse_digest(r1.out), offline);
 
   // Campaign 2: four threads + a worker stealing leases, with /status
@@ -751,7 +777,7 @@ TEST(ServeLoopback, TracedCampaignsKeepDigestsAndFormOneTracePerCampaign) {
   });
   stop.store(true, std::memory_order_relaxed);
   scraper.join();
-  ASSERT_EQ(r2.code, 0) << r2.out;
+  ASSERT_EQ(r2.code, 0) << r2.out << r2.err;
   EXPECT_EQ(parse_digest(r2.out), offline);
   // At least one scrape landed while the daemon had its status source
   // registered (the campaign runs for far longer than one scrape loop).
