@@ -37,18 +37,6 @@ int64_t CampaignProgress::total_trials() const {
 
 namespace {
 
-/// One instrumented model a worker slot runs trials on. Slot 0 wraps the
-/// caller's model; other slots own a replica.
-struct WorkerCtx {
-  std::unique_ptr<nn::Module> owned;  ///< replicas only; null for slot 0
-  nn::Module* model = nullptr;
-  std::unique_ptr<Emulator> emu;
-  std::unique_ptr<Injector> inj;
-  /// This slot's golden-prefix replay plan (keyed to its own module tree);
-  /// null when the cache is off or unusable.
-  const nn::ReplayPlan* plan = nullptr;
-};
-
 /// Copy parameter and buffer values from `src` into `dst` positionally
 /// (both trees enumerate depth-first in registration order).
 void copy_state(nn::Module& src, nn::Module& dst) {
@@ -93,7 +81,6 @@ struct TrialMeta {
   int64_t golden_top1 = -1;
   int64_t faulty_top1 = -1;
   int64_t latency_ns = 0;  ///< arm -> disarm, one full faulty inference
-  bool fired = false;
 };
 
 /// Top-1 class of sample 0 in a [batch, classes] logits tensor. First
@@ -124,7 +111,7 @@ bool campaigned(const LayerSite& site, const CampaignConfig& cfg) {
          site.act_format->has_metadata();
 }
 
-/// The config-echo comparator shared by resume and merge: the first field
+/// The config-echo comparator of fold_campaign_progress: the first field
 /// where `a` and `b` disagree, or "" when both are states of the same
 /// campaign over the same model, batch and layer structure. Shard fields
 /// are left to the callers, which each have their own shard rule.
@@ -164,103 +151,51 @@ std::string echo_mismatch(const CampaignProgress& a,
   return "";
 }
 
-/// Validate a loaded checkpoint against the state a fresh run of this
-/// campaign would produce, then splice its completed trials into `fresh`.
-/// Any disagreement means the file belongs to a different campaign (or a
-/// different model/batch) and resuming would silently mix statistics, so
-/// it is a hard IoError.
-void apply_resume(CampaignProgress& fresh, const CampaignProgress& saved) {
-  const auto fail = [](const std::string& what) {
-    throw io::IoError(
-        "resume: checkpoint does not match this campaign (different " +
-        what + ")");
-  };
-  if (const std::string what = echo_mismatch(saved, fresh); !what.empty()) {
-    fail(what);
-  }
-  if (saved.shards != fresh.shards || saved.shard_index != fresh.shard_index) {
-    fail("shard partition");
-  }
-  for (size_t i = 0; i < fresh.layers.size(); ++i) {
-    fresh.layers[i].done = saved.layers[i].done;
-    fresh.layers[i].outcomes = saved.layers[i].outcomes;
-  }
-  obs::add(obs::Counter::kCampaignResumes);
-  obs::log(1, "campaign: resumed from checkpoint with " +
-                  std::to_string(fresh.completed_trials()) + "/" +
-                  std::to_string(fresh.total_trials()) + " trials done");
-}
-
 }  // namespace
 
-CampaignProgress run_campaign_trials(nn::Module& model,
-                                     const data::Batch& batch,
-                                     const CampaignConfig& cfg,
-                                     const CampaignRunOptions& opts) {
-  obs::AttrScope campaign_attr(cfg.format_spec, "");
-  obs::Span campaign_span("campaign", "run_campaign", cfg.format_spec);
-  if (opts.shards < 1 || opts.shard_index < 0 ||
-      opts.shard_index >= opts.shards) {
+CampaignEngine::CampaignEngine(nn::Module& model, const data::Batch& batch,
+                               const CampaignConfig& cfg)
+    : cfg_(cfg), batch_(batch) {
+  obs::AttrScope campaign_attr(cfg_.format_spec, "");
+  if (cfg_.sites_per_trial < 1) {
     throw std::invalid_argument(
-        "run_campaign_trials: shard_index must be in [0, shards)");
-  }
-  if (opts.checkpoint_every < 0 || opts.abort_after < 0) {
-    throw std::invalid_argument(
-        "run_campaign_trials: checkpoint_every/abort_after must be >= 0");
-  }
-  if ((opts.checkpoint_every > 0 || opts.abort_after > 0) &&
-      opts.checkpoint_path.empty()) {
-    throw std::invalid_argument(
-        "run_campaign_trials: checkpointing requires a checkpoint_path");
-  }
-  if (cfg.sites_per_trial < 1) {
-    throw std::invalid_argument(
-        "run_campaign_trials: sites_per_trial must be >= 1");
-  }
-  if (opts.lease_hi >= 0 && (opts.lease_lo < 0 || opts.lease_lo > opts.lease_hi)) {
-    throw std::invalid_argument(
-        "run_campaign_trials: lease range must satisfy 0 <= lease_lo <= "
-        "lease_hi");
+        "CampaignEngine: sites_per_trial must be >= 1");
   }
   model.eval();
   EmulatorConfig ecfg;
-  ecfg.format_spec = cfg.format_spec;
+  ecfg.format_spec = cfg_.format_spec;
 
-  // Worker contexts. Replicas must be built and given the primary's weights
+  // Worker slots. Replicas must be built and given the primary's weights
   // BEFORE the primary is instrumented: quantisation is not idempotent (an
   // int8 scale recomputed from already-quantised data differs), so copying
   // after attach would double-quantise the replicas.
-  const int64_t nT = cfg.injections_per_layer;
-  int nctx = 1;
-  if (cfg.make_replica) {
-    nctx = std::clamp<int64_t>(
+  const int64_t nT = cfg_.injections_per_layer;
+  int nslots = 1;
+  if (cfg_.make_replica) {
+    nslots = std::clamp<int64_t>(
         std::min<int64_t>(parallel::num_threads(), nT), 1, 64);
   }
-  std::vector<WorkerCtx> ctxs(static_cast<size_t>(nctx));
-  ctxs[0].model = &model;
-  for (int w = 1; w < nctx; ++w) {
-    ctxs[static_cast<size_t>(w)].owned = cfg.make_replica();
-    ctxs[static_cast<size_t>(w)].model =
-        ctxs[static_cast<size_t>(w)].owned.get();
-    ctxs[static_cast<size_t>(w)].model->eval();
-    copy_state(model, *ctxs[static_cast<size_t>(w)].model);
+  slots_.resize(static_cast<size_t>(nslots));
+  slots_[0].model = &model;
+  for (size_t w = 1; w < slots_.size(); ++w) {
+    slots_[w].owned = cfg_.make_replica();
+    slots_[w].model = slots_[w].owned.get();
+    slots_[w].model->eval();
+    copy_state(model, *slots_[w].model);
   }
-  ctxs[0].emu = std::make_unique<Emulator>(*ctxs[0].model, ecfg);
-  ctxs[0].inj = std::make_unique<Injector>(*ctxs[0].emu, cfg.seed);
+  slots_[0].emu = std::make_unique<Emulator>(model, ecfg);
+  slots_[0].inj = std::make_unique<Injector>(*slots_[0].emu, cfg_.seed);
   // Replicas share the primary's post-quantisation weight tensors instead
   // of re-quantising their own copies: attach becomes O(1) per parameter
   // and the quantised weights exist once, however many workers run. A
   // trial that corrupts a weight detaches a private copy via COW.
   EmulatorConfig rcfg = ecfg;
   rcfg.weight_source = &model;
-  for (int w = 1; w < nctx; ++w) {
-    ctxs[static_cast<size_t>(w)].emu =
-        std::make_unique<Emulator>(*ctxs[static_cast<size_t>(w)].model, rcfg);
-    ctxs[static_cast<size_t>(w)].inj =
-        std::make_unique<Injector>(*ctxs[static_cast<size_t>(w)].emu,
-                                   cfg.seed);
+  for (size_t w = 1; w < slots_.size(); ++w) {
+    slots_[w].emu = std::make_unique<Emulator>(*slots_[w].model, rcfg);
+    slots_[w].inj = std::make_unique<Injector>(*slots_[w].emu, cfg_.seed);
   }
-  Emulator& emu = *ctxs[0].emu;
+  Emulator& emu = *slots_[0].emu;
 
   // Golden reference *under emulation* (fault-free but format-quantised):
   // faults are measured against the format's own clean behaviour. The
@@ -273,95 +208,162 @@ CampaignProgress run_campaign_trials(nn::Module& model,
   // injection site. The cached tensors are golden state: any in-place
   // write during a trial detaches via copy-on-write because the plan holds
   // a share, so the cache can never be corrupted.
-  nn::ReplayPlan plan0;
-  const GoldenRun golden = [&] {
+  {
     obs::Span golden_span("campaign", "golden_run");
-    return run_golden(model, batch, cfg.use_prefix_cache ? &plan0 : nullptr);
-  }();
-  const bool cache_on = cfg.use_prefix_cache && plan0.usable();
-  if (cfg.use_prefix_cache && !cache_on) {
+    golden_ = run_golden(model, batch_,
+                         cfg_.use_prefix_cache ? &plan0_ : nullptr);
+  }
+  const bool cache_on = cfg_.use_prefix_cache && plan0_.usable();
+  if (cfg_.use_prefix_cache && !cache_on) {
     obs::log(1,
              "campaign: prefix cache unusable (a module ran more than once "
              "in the golden forward); falling back to full forwards");
   }
-  std::vector<nn::ReplayPlan> rplans;
   if (cache_on) {
     obs::add(obs::Counter::kPrefixCacheBytes,
-             static_cast<uint64_t>(plan0.cache_bytes()));
-    ctxs[0].plan = &plan0;
+             static_cast<uint64_t>(plan0_.cache_bytes()));
+    slots_[0].plan = &plan0_;
     // Replica plans re-key the primary's records onto each replica's
     // module tree; the cached tensors themselves are shared, not copied.
-    rplans.reserve(static_cast<size_t>(nctx - 1));
-    for (int w = 1; w < nctx; ++w) {
-      rplans.push_back(plan0.translate(model, *ctxs[static_cast<size_t>(w)]
-                                                   .model));
-    }
-    for (int w = 1; w < nctx; ++w) {
-      ctxs[static_cast<size_t>(w)].plan = &rplans[static_cast<size_t>(w - 1)];
+    // Reserved up front, so the slots' pointers stay valid.
+    rplans_.reserve(slots_.size() - 1);
+    for (size_t w = 1; w < slots_.size(); ++w) {
+      rplans_.push_back(plan0_.translate(model, *slots_[w].model));
+      slots_[w].plan = &rplans_.back();
     }
   }
 
-  CampaignProgress prog;
-  prog.format_spec = cfg.format_spec;
-  prog.site = cfg.site;
-  prog.model = cfg.model;
-  prog.injections_per_layer = nT;
-  prog.num_bits = cfg.num_bits;
-  prog.seed = cfg.seed;
-  prog.shards = opts.shards;
-  prog.shard_index = opts.shard_index;
-  prog.sites_per_trial = cfg.sites_per_trial;
-  prog.ber = cfg.ber;
-  prog.burst_len = cfg.burst_len;
-  prog.model_name = opts.model_name;
-  prog.eval_samples = opts.eval_samples;
-  prog.golden_accuracy = nn::accuracy(golden.logits, batch.labels);
-  prog.golden_digest =
-      fnv1a(kFnv1aBasis, golden.logits.cdata(),
-            static_cast<size_t>(golden.logits.numel()) * sizeof(float));
+  skeleton_.format_spec = cfg_.format_spec;
+  skeleton_.site = cfg_.site;
+  skeleton_.model = cfg_.model;
+  skeleton_.injections_per_layer = nT;
+  skeleton_.num_bits = cfg_.num_bits;
+  skeleton_.seed = cfg_.seed;
+  skeleton_.sites_per_trial = cfg_.sites_per_trial;
+  skeleton_.ber = cfg_.ber;
+  skeleton_.burst_len = cfg_.burst_len;
+  skeleton_.golden_accuracy = nn::accuracy(golden_.logits, batch_.labels);
+  skeleton_.golden_digest =
+      fnv1a(kFnv1aBasis, golden_.logits.cdata(),
+            static_cast<size_t>(golden_.logits.numel()) * sizeof(float));
 
   // Enumerate the campaigned sites. The site index is persisted per layer,
   // so RNG streams stay stable across save/resume/shard boundaries too.
   for (size_t li = 0; li < emu.sites().size(); ++li) {
     const LayerSite& site = emu.sites()[li];
-    if (!campaigned(site, cfg)) continue;
+    if (!campaigned(site, cfg_)) continue;
     LayerProgress lp;
     lp.site_index = li;
     lp.path = site.path;
     lp.done.assign(static_cast<size_t>(nT), 0);
     lp.outcomes.assign(static_cast<size_t>(nT), FaultOutcome{});
-    prog.layers.push_back(std::move(lp));
+    skeleton_.layers.push_back(std::move(lp));
+
+    // Companion pool for multi-point trials: instrumented sites strictly
+    // after the campaigned one (disjoint suffix segments — a companion
+    // never perturbs state the primary fault's own layer consumes).
+    // Metadata campaigns keep only metadata-capable formats, mirroring the
+    // primary-site filter.
+    LayerPlan plan;
+    if (cfg_.sites_per_trial > 1) {
+      for (size_t lj = li + 1; lj < emu.sites().size(); ++lj) {
+        if (cfg_.site == InjectionSite::kMetadata &&
+            !emu.sites()[lj].act_format->has_metadata()) {
+          continue;
+        }
+        plan.companions.push_back(lj);
+      }
+    }
+    plan.want_comp = std::min<int64_t>(
+        cfg_.sites_per_trial - 1,
+        static_cast<int64_t>(plan.companions.size()));
+    // Suffix replay is exact only if every fault of the trial re-executes:
+    // a companion the plan would serve from cache (possible only if
+    // site-registration order diverges from execution order) silently
+    // drops its fault, so such layers run full forwards instead. The
+    // companion pool itself never depends on the cache mode — cache on and
+    // off stay bitwise identical.
+    plan.cache_on = cache_on;
+    for (size_t lj : plan.companions) {
+      if (plan.cache_on &&
+          plan0_.skipped_for(*site.module, *emu.sites()[lj].module)) {
+        plan.cache_on = false;
+        break;
+      }
+    }
+    layers_.push_back(std::move(plan));
   }
+}
 
-  if (opts.resume_from != nullptr) apply_resume(prog, *opts.resume_from);
+CampaignProgress CampaignEngine::fresh_progress(
+    const CampaignRunOptions& opts) const {
+  CampaignProgress prog = skeleton_;
+  prog.shards = opts.shards;
+  prog.shard_index = opts.shard_index;
+  prog.model_name = opts.model_name;
+  prog.eval_samples = opts.eval_samples;
+  return prog;
+}
 
-  // Lease filter over the global trial index (campaign position order).
+void CampaignEngine::run(CampaignProgress& prog,
+                         const CampaignRunOptions& opts) {
+  obs::AttrScope campaign_attr(cfg_.format_spec, "");
+  const auto require = [](bool ok, const std::string& what) {
+    if (!ok) throw std::invalid_argument("CampaignEngine::run: " + what);
+  };
+  require(opts.shards >= 1 && opts.shard_index >= 0 &&
+              opts.shard_index < opts.shards,
+          "shard_index must be in [0, shards)");
+  require(opts.checkpoint_every >= 0 && opts.abort_after >= 0,
+          "checkpoint_every/abort_after must be >= 0");
+  require((opts.checkpoint_every == 0 && opts.abort_after == 0) ||
+              !opts.checkpoint_path.empty(),
+          "checkpointing requires a checkpoint_path");
+  require(prog.layers.size() == layers_.size(),
+          "progress does not belong to this campaign");
   // A lease ending past the campaign means the lessor sized the trial
   // space against a different model or layer set — reject loudly rather
   // than silently running a truncated lease.
   const bool leased = opts.lease_hi >= 0;
-  if (leased &&
-      opts.lease_hi > static_cast<int64_t>(prog.layers.size()) * nT) {
-    throw std::invalid_argument(
-        "run_campaign_trials: lease_hi " + std::to_string(opts.lease_hi) +
-        " exceeds the campaign's " +
-        std::to_string(static_cast<int64_t>(prog.layers.size()) * nT) +
-        " trials");
+  require(!leased || (opts.lease_lo >= 0 && opts.lease_lo <= opts.lease_hi &&
+                      opts.lease_hi <= total_trials()),
+          "lease [" + std::to_string(opts.lease_lo) + ", " +
+              std::to_string(opts.lease_hi) + ") is not within the " +
+              std::to_string(total_trials()) + "-trial campaign");
+  if (opts.resume_from != nullptr) {
+    // A checkpoint of another campaign, model or batch would silently mix
+    // statistics: the fold's echo check makes that a hard IoError.
+    const CampaignProgress& saved = *opts.resume_from;
+    if (saved.shards != prog.shards || saved.shard_index != prog.shard_index) {
+      throw io::IoError(
+          "resume: checkpoint does not match this campaign (different shard "
+          "partition)");
+    }
+    fold_campaign_progress(prog, saved, "resume: checkpoint");
+    obs::add(obs::Counter::kCampaignResumes);
+    obs::log(1, "campaign: resumed from checkpoint with " +
+                    std::to_string(prog.completed_trials()) + "/" +
+                    std::to_string(prog.total_trials()) + " trials done");
   }
+
   // The trials this run executes, per campaign layer: owned by the shard
-  // and the lease, and not already done.
+  // and the lease (global index, campaign position order), and not already
+  // done. Progress counts every trial the shard owns.
+  const int64_t nT = cfg_.injections_per_layer;
   std::vector<std::vector<int64_t>> pending(prog.layers.size());
-  int64_t hb_total = 0;
+  int64_t owned = 0;
+  int64_t owned_done = 0;
   for (size_t lpos = 0; lpos < prog.layers.size(); ++lpos) {
     for (int64_t ti = 0; ti < nT; ++ti) {
+      if (!shard_owns(ti, opts.shards, opts.shard_index)) continue;
+      ++owned;
       const int64_t g = static_cast<int64_t>(lpos) * nT + ti;
-      if (shard_owns(ti, opts.shards, opts.shard_index) &&
-          (!leased || (g >= opts.lease_lo && g < opts.lease_hi)) &&
-          prog.layers[lpos].done[static_cast<size_t>(ti)] == 0) {
+      if (prog.layers[lpos].done[static_cast<size_t>(ti)] != 0) {
+        ++owned_done;
+      } else if (!leased || (g >= opts.lease_lo && g < opts.lease_hi)) {
         pending[lpos].push_back(ti);
       }
     }
-    hb_total += static_cast<int64_t>(pending[lpos].size());
   }
 
   // Analytics are capture-gated: with no report stream and metrics off the
@@ -389,7 +391,9 @@ CampaignProgress run_campaign_trials(nn::Module& model,
   // any worker may run any trial in any order — across threads, process
   // restarts, and shards — and the aggregate matches the serial path
   // bitwise.
-  const Rng base(cfg.seed);
+  const Rng base(cfg_.seed);
+  Emulator& emu = *slots_[0].emu;
+  const int nslots = static_cast<int>(slots_.size());
   int64_t executed = 0;
   bool aborted = false;
 
@@ -397,43 +401,8 @@ CampaignProgress run_campaign_trials(nn::Module& model,
     LayerProgress& lp = prog.layers[lpos];
     const std::vector<int64_t>& todo = pending[lpos];
     if (todo.empty()) continue;
-    LayerSite& site = emu.sites()[static_cast<size_t>(lp.site_index)];
-
-    // Companion pool for multi-point trials: instrumented sites strictly
-    // after the campaigned one (disjoint suffix segments — a companion
-    // never perturbs state the primary fault's own layer consumes).
-    // Metadata campaigns keep only metadata-capable formats, mirroring the
-    // primary-site filter above.
-    std::vector<size_t> companions;
-    if (cfg.sites_per_trial > 1) {
-      companions.reserve(emu.sites().size());
-      for (size_t lj = static_cast<size_t>(lp.site_index) + 1;
-           lj < emu.sites().size(); ++lj) {
-        if (cfg.site == InjectionSite::kMetadata &&
-            !emu.sites()[lj].act_format->has_metadata()) {
-          continue;
-        }
-        companions.push_back(lj);
-      }
-    }
-    const int64_t want_comp = std::min<int64_t>(
-        cfg.sites_per_trial - 1, static_cast<int64_t>(companions.size()));
-
-    // Suffix replay is exact only if every fault of the trial re-executes:
-    // a companion the plan would serve from cache (possible only if
-    // site-registration order diverges from execution order) silently
-    // drops its fault, so such layers run full forwards instead. The
-    // companion pool itself never depends on the cache mode — cache on and
-    // off stay bitwise identical.
-    bool layer_cache_on = cache_on;
-    if (layer_cache_on) {
-      for (size_t lj : companions) {
-        if (plan0.skipped_for(*site.module, *emu.sites()[lj].module)) {
-          layer_cache_on = false;
-          break;
-        }
-      }
-    }
+    const LayerSite& site = emu.sites()[static_cast<size_t>(lp.site_index)];
+    const LayerPlan& plan = layers_[lpos];
 
     obs::Span layer_span("campaign", "layer", site.path);
     const int64_t layer_t0 = obs::metrics_enabled() ? obs::now_ns() : 0;
@@ -449,35 +418,37 @@ CampaignProgress run_campaign_trials(nn::Module& model,
       std::vector<TrialMeta> metas;
       if (capture) metas.assign(static_cast<size_t>(cnt), TrialMeta{});
       parallel::parallel_for_workers(
-          0, cnt, /*grain=*/1, nctx, [&](int slot, int64_t lo, int64_t hi) {
-            WorkerCtx& ctx = ctxs[static_cast<size_t>(slot)];
+          0, cnt, /*grain=*/1, nslots, [&](int slot_index, int64_t lo,
+                                           int64_t hi) {
+            Slot& slot = slots_[static_cast<size_t>(slot_index)];
             for (int64_t k = lo; k < hi; ++k) {
               const int64_t ti = todo[start + static_cast<size_t>(k)];
               // Worker threads don't inherit the campaign's AttrScope
               // (attribution is thread-local): re-establish it per trial.
-              obs::AttrScope trial_attr(cfg.format_spec, site.path);
+              obs::AttrScope trial_attr(cfg_.format_spec, site.path);
               obs::Span trial_span("campaign", "trial");
               const int64_t trial_t0 = capture ? obs::now_ns() : 0;
               InjectionSpec spec;
               spec.layer_path = site.path;
-              spec.site = cfg.site;
-              spec.model = cfg.model;
-              spec.num_bits = cfg.num_bits;
-              spec.ber = cfg.ber;
-              spec.burst_len = cfg.burst_len;
+              spec.site = cfg_.site;
+              spec.model = cfg_.model;
+              spec.num_bits = cfg_.num_bits;
+              spec.ber = cfg_.ber;
+              spec.burst_len = cfg_.burst_len;
               Rng trial_rng =
                   base.child(lp.site_index * static_cast<uint64_t>(nT) +
                              static_cast<uint64_t>(ti));
-              if (want_comp == 0) {
-                ctx.inj->arm(spec, trial_rng);
+              if (plan.want_comp == 0) {
+                slot.inj->arm(spec, trial_rng);
               } else {
                 // Companion selection draws from the trial stream before
                 // the injector copies it, so every random choice of the
                 // trial — selection included — is a pure function of
                 // (seed, site index, trial index).
+                const std::vector<size_t>& companions = plan.companions;
                 std::vector<size_t> chosen;
-                chosen.reserve(static_cast<size_t>(want_comp));
-                while (static_cast<int64_t>(chosen.size()) < want_comp) {
+                chosen.reserve(static_cast<size_t>(plan.want_comp));
+                while (static_cast<int64_t>(chosen.size()) < plan.want_comp) {
                   const size_t pick = companions[static_cast<size_t>(
                       trial_rng.randint(
                           0, static_cast<int64_t>(companions.size()) - 1))];
@@ -488,43 +459,42 @@ CampaignProgress run_campaign_trials(nn::Module& model,
                 }
                 std::sort(chosen.begin(), chosen.end());
                 std::vector<InjectionSpec> specs;
-                specs.reserve(1 + static_cast<size_t>(want_comp));
+                specs.reserve(1 + static_cast<size_t>(plan.want_comp));
                 specs.push_back(spec);
                 for (size_t lj : chosen) {
                   InjectionSpec cspec = spec;
                   cspec.layer_path = emu.sites()[lj].path;
                   specs.push_back(std::move(cspec));
                 }
-                ctx.inj->arm_multi(specs, trial_rng);
+                slot.inj->arm_multi(specs, trial_rng);
               }
               Tensor logits;
-              if (layer_cache_on) {
+              if (plan.cache_on) {
                 // Suffix replay: the prefix is served from the recorded
                 // golden activations; only the site, its ancestors, and
                 // the layers after it recompute.
                 obs::Span replay_span("campaign", "suffix_replay");
                 int64_t served = 0;
-                logits = ctx.model->forward_from(
-                    *ctx.plan,
-                    *ctx.emu->sites()[static_cast<size_t>(lp.site_index)]
+                logits = slot.model->forward_from(
+                    *slot.plan,
+                    *slot.emu->sites()[static_cast<size_t>(lp.site_index)]
                          .module,
-                    batch.images, &served);
+                    batch_.images, &served);
                 obs::add(obs::Counter::kPrefixCacheHits);
                 obs::add(obs::Counter::kSuffixLayersSkipped,
                          static_cast<uint64_t>(served));
               } else {
-                logits = (*ctx.model)(batch.images);
+                logits = (*slot.model)(batch_.images);
               }
               lp.outcomes[static_cast<size_t>(ti)] =
-                  compare_to_golden(golden, logits, batch.labels);
-              ctx.inj->disarm();
+                  compare_to_golden(golden_, logits, batch_.labels);
+              slot.inj->disarm();
               if (capture) {
                 // disarm() keeps last_record(): read the resolved random
                 // choices after timing the full arm -> disarm trial.
                 TrialMeta& m = metas[static_cast<size_t>(k)];
                 m.latency_ns = obs::now_ns() - trial_t0;
-                if (const auto& rec = ctx.inj->last_record()) {
-                  m.fired = true;
+                if (const auto& rec = slot.inj->last_record()) {
                   m.element = rec->element;
                   m.bit = rec->bits.empty() ? -1 : rec->bits.front();
                   m.affected = rec->affected;
@@ -533,10 +503,10 @@ CampaignProgress run_campaign_trials(nn::Module& model,
                   m.value_before = rec->value_before;
                   m.value_after = rec->value_after;
                 }
-                m.golden_top1 = golden.predictions.empty()
+                m.golden_top1 = golden_.predictions.empty()
                                     ? -1
-                                    : golden.predictions.front();
-                m.faulty_top1 = sample0_top1(logits, batch.labels.size());
+                                    : golden_.predictions.front();
+                m.faulty_top1 = sample0_top1(logits, batch_.labels.size());
               }
             }
           });
@@ -563,8 +533,8 @@ CampaignProgress run_campaign_trials(nn::Module& model,
             row.str("layer", lp.path)
                 .num("site_index", lp.site_index)
                 .num("trial", ti)
-                .str("site", to_string(cfg.site))
-                .str("error_model", to_string(cfg.model))
+                .str("site", to_string(cfg_.site))
+                .str("error_model", to_string(cfg_.model))
                 .num("element", m.element)
                 .num("bit", static_cast<int64_t>(m.bit))
                 .num("affected", m.affected);
@@ -587,17 +557,15 @@ CampaignProgress run_campaign_trials(nn::Module& model,
         }
       }
       if (heartbeat_on) {
+        const int64_t done = owned_done + executed;
         const double secs =
             static_cast<double>(obs::now_ns() - run_t0) / 1e9;
         const double rate =
             secs > 0.0 ? static_cast<double>(executed) / secs : 0.0;
         const double eta =
-            rate > 0.0 ? static_cast<double>(hb_total - executed) / rate
-                       : 0.0;
-        obs::set_gauge("campaign.trials_done",
-                       static_cast<double>(executed));
-        obs::set_gauge("campaign.trials_total",
-                       static_cast<double>(hb_total));
+            rate > 0.0 ? static_cast<double>(owned - done) / rate : 0.0;
+        obs::set_gauge("campaign.trials_done", static_cast<double>(done));
+        obs::set_gauge("campaign.trials_total", static_cast<double>(owned));
         obs::set_gauge("campaign.eta_seconds", eta);
         // Memory watermarks ride the heartbeat: a pure read of allocator
         // and /proc state (never a perturbation), published as mem.*
@@ -607,13 +575,13 @@ CampaignProgress run_campaign_trials(nn::Module& model,
         char hb[160];
         std::snprintf(hb, sizeof(hb),
                       "campaign: %lld/%lld trials, %.1f trials/s, eta %.1fs",
-                      static_cast<long long>(executed),
-                      static_cast<long long>(hb_total), rate, eta);
+                      static_cast<long long>(done),
+                      static_cast<long long>(owned), rate, eta);
         obs::log(1, hb);
         if (opts.run_log != nullptr) {
           obs::JsonObject row;
-          row.num("done", executed)
-              .num("total", hb_total)
+          row.num("done", done)
+              .num("total", owned)
               .num("trials_per_sec", rate)
               .num("eta_seconds", eta)
               .num("rss_bytes", mem.rss_bytes)
@@ -647,32 +615,18 @@ CampaignProgress run_campaign_trials(nn::Module& model,
     // like a kill right after the last periodic write.
     io::save_campaign_progress(opts.checkpoint_path, prog);
   }
+}
+
+CampaignProgress run_campaign_trials(nn::Module& model,
+                                     const data::Batch& batch,
+                                     const CampaignConfig& cfg,
+                                     const CampaignRunOptions& opts) {
+  obs::AttrScope campaign_attr(cfg.format_spec, "");
+  obs::Span campaign_span("campaign", "run_campaign", cfg.format_spec);
+  CampaignEngine engine(model, batch, cfg);
+  CampaignProgress prog = engine.fresh_progress(opts);
+  engine.run(prog, opts);
   return prog;
-}
-
-int64_t owned_trials_remaining(const CampaignProgress& progress) {
-  int64_t n = 0;
-  for (const LayerProgress& l : progress.layers) {
-    for (size_t ti = 0; ti < l.done.size(); ++ti) {
-      if (shard_owns(static_cast<int64_t>(ti), progress.shards,
-                     progress.shard_index) &&
-          !l.done[ti]) {
-        ++n;
-      }
-    }
-  }
-  return n;
-}
-
-int64_t count_campaign_layers(nn::Module& model, const CampaignConfig& cfg) {
-  model.eval();
-  EmulatorConfig ecfg;
-  ecfg.format_spec = cfg.format_spec;
-  // The Emulator restores the model on destruction: a read-only probe.
-  Emulator emu(model, ecfg);
-  return std::count_if(
-      emu.sites().begin(), emu.sites().end(),
-      [&](const LayerSite& site) { return campaigned(site, cfg); });
 }
 
 CampaignResult finalize_campaign(const CampaignProgress& progress) {
@@ -715,6 +669,28 @@ CampaignResult finalize_campaign(const CampaignProgress& progress) {
   return result;
 }
 
+void fold_campaign_progress(CampaignProgress& into,
+                            const CampaignProgress& part,
+                            const std::string& label) {
+  if (const std::string what = echo_mismatch(part, into); !what.empty()) {
+    throw io::IoError(label + " does not match this campaign (different " +
+                      what + ")");
+  }
+  for (size_t j = 0; j < into.layers.size(); ++j) {
+    const LayerProgress& pl = part.layers[j];
+    LayerProgress& ml = into.layers[j];
+    for (size_t ti = 0; ti < pl.done.size(); ++ti) {
+      if (!pl.done[ti]) continue;
+      if (ml.done[ti]) {
+        throw io::IoError(label + ": trial " + std::to_string(ti) +
+                          " of layer '" + ml.path + "' is already done");
+      }
+      ml.done[ti] = 1;
+      ml.outcomes[ti] = pl.outcomes[ti];
+    }
+  }
+}
+
 CampaignProgress merge_campaign_progress(
     const std::vector<CampaignProgress>& parts) {
   if (parts.empty()) {
@@ -726,33 +702,18 @@ CampaignProgress merge_campaign_progress(
   seen.push_back(parts[0].shard_index);
   for (size_t i = 1; i < parts.size(); ++i) {
     const CampaignProgress& p = parts[i];
-    const auto fail = [i](const std::string& what) {
-      throw io::IoError("merge: input " + std::to_string(i) +
-                        " does not match input 0 (different " + what + ")");
-    };
-    if (const std::string what = echo_mismatch(p, merged); !what.empty()) {
-      fail(what);
+    const std::string label = "merge: input " + std::to_string(i);
+    if (p.shards != parts[0].shards) {
+      throw io::IoError(label +
+                        " does not match this campaign (different shard "
+                        "count)");
     }
-    if (p.shards != parts[0].shards) fail("shard count");
     if (std::find(seen.begin(), seen.end(), p.shard_index) != seen.end()) {
       throw io::IoError("merge: duplicate shard index " +
                         std::to_string(p.shard_index));
     }
     seen.push_back(p.shard_index);
-    for (size_t j = 0; j < merged.layers.size(); ++j) {
-      const LayerProgress& pl = p.layers[j];
-      LayerProgress& ml = merged.layers[j];
-      for (size_t ti = 0; ti < pl.done.size(); ++ti) {
-        if (!pl.done[ti]) continue;
-        if (ml.done[ti]) {
-          throw io::IoError("merge: trial " + std::to_string(ti) +
-                            " of layer '" + ml.path +
-                            "' appears in more than one input");
-        }
-        ml.done[ti] = 1;
-        ml.outcomes[ti] = pl.outcomes[ti];
-      }
-    }
+    fold_campaign_progress(merged, p, label);
   }
   // The merged state represents the whole campaign again: re-label it
   // unsharded so it can be finalized — or resumed, if shards are missing.

@@ -164,42 +164,101 @@ struct CampaignRunOptions {
   /// layer_position_in_campaign * injections_per_layer + trial_index —
   /// falls in [lease_lo, lease_hi). lease_hi < 0 disables leasing. Like
   /// shards, a lease just selects a subset of the pure (seed, site, trial)
-  /// function space, so lease parts merge bitwise-identically via
-  /// merge_campaign_progress (relabel each part with a distinct
-  /// shard_index first — merge requires parts to be distinguishable).
+  /// function space, so lease parts fold bitwise-identically via
+  /// fold_campaign_progress.
   int64_t lease_lo = 0;
   int64_t lease_hi = -1;
   /// Stream a schema-v2 "trial" record per executed trial (plus periodic
-  /// "heartbeat" records) into this report. Borrowed, may be null. Records
+  /// "heartbeat" records) into this report. Borrowed, may be null. A
+  /// heartbeat's done/total count the shard's trials, resumed or folded
+  /// ones included; its trials/s counts this run's only. Records
   /// are emitted from the sequential post-block section in ascending trial
   /// order, so the stream is deterministic at any thread count; telemetry
   /// only reads outcomes and never perturbs them (DESIGN.md §8).
   obs::RunLog* run_log = nullptr;
 };
 
-/// Run (part of) a campaign and return its persistent state. Covers the
-/// whole checkpoint/resume/shard space; run_campaign is the simple
-/// wrapper `finalize_campaign(run_campaign_trials(m, b, cfg, {}))`.
+/// One campaign set up on one model. The constructor does everything that
+/// does not depend on which trials run: config checks, replicas, Emulator
+/// and Injector attach, the golden pass and its ReplayPlan, the campaigned
+/// sites, and each layer's companion pool and suffix-replay eligibility.
+/// run() may then execute any trial selection on it, any number of times.
+/// The model stays instrumented until the engine is destroyed, so the
+/// engine must not outlive the model or the batch (both borrowed).
+class CampaignEngine {
+ public:
+  CampaignEngine(nn::Module& model, const data::Batch& batch,
+                 const CampaignConfig& cfg);
+  CampaignEngine(const CampaignEngine&) = delete;
+  CampaignEngine& operator=(const CampaignEngine&) = delete;
+
+  /// Trials in the campaign: campaigned layers * injections per layer,
+  /// the global trial index space leases cut up.
+  int64_t total_trials() const { return skeleton_.total_trials(); }
+
+  /// The campaign's progress with no trial done, its config echo labelled
+  /// with `opts`' model name, sample count and shard partition.
+  CampaignProgress fresh_progress(const CampaignRunOptions& opts) const;
+
+  /// Execute into `prog` — fresh_progress(opts), possibly with trials
+  /// already done in it — every trial that `opts` selects (owned by its
+  /// shard and lease) and `prog` has not done. opts.resume_from, when set,
+  /// is folded into `prog` first.
+  void run(CampaignProgress& prog, const CampaignRunOptions& opts);
+
+ private:
+  /// One instrumented model a pool worker slot runs trials on. Slot 0
+  /// wraps the caller's model; other slots own a replica.
+  struct Slot {
+    std::unique_ptr<nn::Module> owned;  ///< replicas only; null for slot 0
+    nn::Module* model = nullptr;
+    std::unique_ptr<Emulator> emu;
+    std::unique_ptr<Injector> inj;
+    /// This slot's golden-prefix replay plan (keyed to its own module
+    /// tree); null when the cache is off or unusable.
+    const nn::ReplayPlan* plan = nullptr;
+  };
+  /// Per campaigned layer: the multi-point companion pool and whether its
+  /// trials may run as suffix replays.
+  struct LayerPlan {
+    std::vector<size_t> companions;
+    int64_t want_comp = 0;
+    bool cache_on = false;
+  };
+
+  CampaignConfig cfg_;
+  const data::Batch& batch_;
+  // Members are destroyed in reverse: the replay plans and the golden run
+  // (shares of golden activations) go before the slots restore the models.
+  std::vector<Slot> slots_;
+  nn::ReplayPlan plan0_;
+  GoldenRun golden_;
+  std::vector<nn::ReplayPlan> rplans_;  ///< replica slots' plans
+  CampaignProgress skeleton_;
+  std::vector<LayerPlan> layers_;  ///< parallel to skeleton_.layers
+};
+
+/// Run (part of) a campaign and return its persistent state: one engine,
+/// run once. run_campaign is `finalize_campaign(run_campaign_trials(m, b,
+/// cfg, {}))`.
 CampaignProgress run_campaign_trials(nn::Module& model,
                                      const data::Batch& batch,
                                      const CampaignConfig& cfg,
                                      const CampaignRunOptions& opts);
-
-/// Trials owned by (progress.shards, progress.shard_index) not yet done.
-int64_t owned_trials_remaining(const CampaignProgress& progress);
-
-/// Number of layers a campaign over (model, cfg) would run: instruments
-/// the model (restored on return, like run_campaign) and applies the same
-/// site-enumeration filters. The service daemon uses this to size a
-/// campaign's lease table (total trials = layers * injections_per_layer)
-/// without executing anything.
-int64_t count_campaign_layers(nn::Module& model, const CampaignConfig& cfg);
 
 /// Aggregate a complete progress into per-layer statistics. The
 /// aggregation order is trial order, so the result is bitwise identical
 /// no matter how the trials were scheduled, sharded, or resumed. Throws
 /// std::invalid_argument when progress is incomplete.
 CampaignResult finalize_campaign(const CampaignProgress& progress);
+
+/// Fold `part`'s done trials into `into`: the config-echo check and the
+/// disjoint copy merge applies to each of its inputs. Shard labels are left
+/// to the caller. Throws io::IoError naming `label` and the first differing
+/// echo field, or a trial done in both.
+void fold_campaign_progress(CampaignProgress& into,
+                            const CampaignProgress& part,
+                            const std::string& label);
 
 /// Fold shard partial results into one progress. All parts must carry the
 /// same config echo and layer structure, distinct shard indices, and

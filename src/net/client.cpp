@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <thread>
 
@@ -122,9 +123,12 @@ int run_worker(const WorkerOptions& opts, std::ostream& out,
   chan.send(FrameType::kHello,
             encode_hello({HelloMsg::kRoleWorker, opts.client_name}));
 
-  // One prepared campaign kept warm across consecutive leases of the same
-  // campaign (model load + golden probe are the expensive parts).
+  // One campaign kept warm across consecutive leases of the same campaign:
+  // the prepared model and its engine (instrumentation, golden pass,
+  // prefix cache) are set up once. The engine is declared after the model
+  // it instruments, so it is destroyed first.
   std::optional<std::pair<uint64_t, PreparedCampaign>> cached;
+  std::unique_ptr<core::CampaignEngine> engine;
   int64_t executed = 0;
   int64_t dropped = 0;
   int64_t stalled = 0;
@@ -210,15 +214,9 @@ int run_worker(const WorkerOptions& opts, std::ostream& out,
                              std::to_string(grant.lo) + "-" +
                                  std::to_string(grant.hi));
 
-        if (!cached.has_value() || cached->first != grant.campaign_id) {
-          cached.emplace(grant.campaign_id,
-                         prepare_campaign(grant.spec, opts.cache_dir));
-        }
-        PreparedCampaign& prep = cached->second;
-
-        // Renew the lease while the trials run; the campaign thread owns
-        // the channel reads, the heartbeat thread only sends (the channel
-        // serializes writers).
+        // Renew the lease while the campaign is set up and its trials run;
+        // the campaign thread owns the channel reads, the heartbeat thread
+        // only sends (the channel serializes writers).
         std::atomic<bool> hb_stop{false};
         std::thread hb([&] {
           const int interval =
@@ -238,6 +236,14 @@ int run_worker(const WorkerOptions& opts, std::ostream& out,
 
         int rc = 0;
         try {
+          if (!cached.has_value() || cached->first != grant.campaign_id) {
+            engine.reset();
+            cached.emplace(grant.campaign_id,
+                           prepare_campaign(grant.spec, opts.cache_dir));
+            PreparedCampaign& prep = cached->second;
+            engine = std::make_unique<core::CampaignEngine>(
+                *prep.trained.model, prep.batch, prep.cfg);
+          }
           LineFrameStream row_stream(chan);
           obs::RunLog row_log(row_stream);
           core::CampaignRunOptions ropts;
@@ -246,8 +252,8 @@ int run_worker(const WorkerOptions& opts, std::ostream& out,
           ropts.lease_lo = static_cast<int64_t>(grant.lo);
           ropts.lease_hi = static_cast<int64_t>(grant.hi);
           ropts.run_log = &row_log;
-          core::CampaignProgress part = core::run_campaign_trials(
-              *prep.trained.model, prep.batch, prep.cfg, ropts);
+          core::CampaignProgress part = engine->fresh_progress(ropts);
+          engine->run(part, ropts);
           LeaseResultMsg res;
           res.campaign_id = grant.campaign_id;
           res.lease_id = grant.lease_id;

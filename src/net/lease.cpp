@@ -114,18 +114,6 @@ bool LeaseTable::all_done() const {
   return completed_ == total_;
 }
 
-int64_t LeaseTable::unleased_trials() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  int64_t n = 0;
-  for (const Lease& l : queue_) n += l.hi - l.lo;
-  return n;
-}
-
-int64_t LeaseTable::live_leases() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(live_.size());
-}
-
 int64_t LeaseTable::total_trials() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_;
@@ -155,11 +143,6 @@ std::vector<LeaseInfo> LeaseTable::snapshot(int64_t now_ns) const {
   out.reserve(live_.size());
   for (const Live& lv : live_) out.push_back(info_locked(lv, now_ns));
   return out;
-}
-
-std::vector<double> LeaseTable::throughput_samples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tps_samples_;
 }
 
 std::vector<LeaseInfo> LeaseTable::flag_stragglers(int64_t now_ns,

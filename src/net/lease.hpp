@@ -1,10 +1,10 @@
 // ge::net::LeaseTable — work-stealing partition of one campaign's trial
 // space. The trial space [0, total) is cut into fixed-size chunks; any
 // executor (the server's own, or a remote worker) leases the next chunk,
-// runs it via run_campaign_trials{lease_lo, lease_hi}, and returns the
-// resulting CampaignProgress part. Because every trial is a pure function
+// runs it on its CampaignEngine with {lease_lo, lease_hi}, and the trials
+// land in the campaign's progress. Because every trial is a pure function
 // of (seed, site index, trial index), it does not matter who runs which
-// chunk or in what order — the merged parts are bitwise identical to an
+// chunk or in what order — the folded parts are bitwise identical to an
 // unpartitioned run (the same argument as static shards, DESIGN.md §9).
 //
 // Fault tolerance: each lease carries a deadline. A worker renews it by
@@ -12,7 +12,7 @@
 // past the deadline has its range reclaimed — pushed back to the front of
 // the queue so recovery work starts immediately. A reclaimed lease's id
 // is dead: a late result for it is discarded (complete() returns false),
-// which keeps merged done sets disjoint even when a presumed-dead worker
+// which keeps folded done sets disjoint even when a presumed-dead worker
 // was merely slow.
 //
 // Time is injected (now_ns parameters) rather than read from a clock, so
@@ -85,10 +85,6 @@ class LeaseTable {
 
   /// True once every trial range has been completed.
   bool all_done() const;
-  /// Trials in ranges not yet leased (or reclaimed back).
-  int64_t unleased_trials() const;
-  /// Currently outstanding (live) leases.
-  int64_t live_leases() const;
   /// Trials in the campaign (reset()'s total).
   int64_t total_trials() const;
   /// Trials in completed ranges so far.
@@ -97,10 +93,6 @@ class LeaseTable {
   /// Every live lease as an introspection row, ages computed against
   /// `now_ns`. Order is grant order (stable for /status rendering).
   std::vector<LeaseInfo> snapshot(int64_t now_ns) const;
-
-  /// Completed-lease throughput samples (trials/sec) recorded by
-  /// complete(), in completion order.
-  std::vector<double> throughput_samples() const;
 
   /// Straggler sweep: flag every live *expiring* lease whose implied
   /// throughput upper bound ((hi-lo) / age so far) has fallen below

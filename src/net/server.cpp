@@ -12,6 +12,7 @@
 #include "obs/metrics_server.hpp"
 #include "obs/run_log.hpp"
 #include "obs/telemetry.hpp"
+#include "tensor/arena.hpp"
 
 namespace ge::net {
 
@@ -443,12 +444,18 @@ void Server::serve_worker(std::shared_ptr<FrameChannel> chan,
         }
         // complete() is the reclaim gate: false means this lease expired
         // and its range was re-leased — a duplicate result that would
-        // break merge's disjointness, so it is dropped.
+        // break the fold's disjointness, so it is dropped. Completing and
+        // handing the part in under one lock means the executor, once it
+        // sees all_done(), finds every part in the inbox.
         LeaseInfo done_info;
-        if (c->leases.complete(res.lease_id, now_ns(), &done_info)) {
-          note_lease_complete(done_info);
+        bool accepted = false;
+        {
           std::lock_guard<std::mutex> lock(c->mu);
-          c->parts.push_back(std::move(part));
+          accepted = c->leases.complete(res.lease_id, now_ns(), &done_info);
+          if (accepted) c->parts.push_back(std::move(part));
+        }
+        if (accepted) {
+          note_lease_complete(done_info);
           log_event("lease_result", who, c->id,
                     static_cast<int64_t>(res.lease_id));
         } else {
@@ -459,7 +466,11 @@ void Server::serve_worker(std::shared_ptr<FrameChannel> chan,
       }
       case FrameType::kLogRow: {
         // Forward the worker's trial rows to whoever submitted the active
-        // campaign; a vanished submit client just drops them.
+        // campaign; a vanished submit client just drops them. Its
+        // heartbeats stay here: they count only the worker's own lease,
+        // while the executor's count the whole campaign.
+        const std::string row(f->payload.begin(), f->payload.end());
+        if (row.find("\"type\":\"heartbeat\"") != std::string::npos) break;
         std::shared_ptr<Campaign> c = active_campaign();
         if (c != nullptr) {
           try {
@@ -499,6 +510,11 @@ void Server::executor_loop() {
       active_ = c;
     }
     execute(c);
+    // The campaign's engine and model were just torn down on this thread
+    // and parked in its arena cache, where the next campaign's dataset
+    // generation (other block sizes) cannot reuse them; they would only
+    // raise the daemon's memory peak.
+    arena::clear_thread_cache();
     {
       std::lock_guard<std::mutex> lock(mu_);
       active_.reset();
@@ -527,41 +543,21 @@ void Server::executor_loop() {
   }
 }
 
-core::CampaignProgress Server::merge_parts(
-    const std::shared_ptr<Campaign>& c) {
-  std::vector<core::CampaignProgress> parts;
-  {
-    std::lock_guard<std::mutex> lock(c->mu);
-    parts = c->parts;
-  }
-  // Lease parts all carry shards=1/shard_index=0; merge only needs the
-  // parts to be distinguishable, so relabel each with its position.
-  for (size_t i = 0; i < parts.size(); ++i) {
-    parts[i].shard_index = static_cast<int>(i);
-  }
-  return core::merge_campaign_progress(parts);
-}
-
-void Server::checkpoint_campaign(const std::shared_ptr<Campaign>& c) {
-  bool have_parts = false;
-  {
-    std::lock_guard<std::mutex> lock(c->mu);
-    have_parts = !c->parts.empty();
-  }
-  if (!have_parts) {
+void Server::checkpoint_campaign(const std::shared_ptr<Campaign>& c,
+                                 const core::CampaignProgress& prog) {
+  if (prog.completed_trials() == 0) {
     c->chan->send(FrameType::kError,
                   encode_error({"server drained before any trials of this "
                                 "campaign completed; resubmit"}));
     log_event("campaign_refused", "drain timeout, no progress", c->id);
     return;
   }
-  const core::CampaignProgress merged = merge_parts(c);
   CheckpointedMsg msg;
   msg.path = opts_.checkpoint_dir + "/campaign_" + std::to_string(c->id) +
              ".gec";
-  msg.completed_trials = merged.completed_trials();
-  msg.total_trials = merged.total_trials();
-  io::save_campaign_progress(msg.path, merged);
+  msg.completed_trials = prog.completed_trials();
+  msg.total_trials = prog.total_trials();
+  io::save_campaign_progress(msg.path, prog);
   c->chan->send(FrameType::kCheckpointed, encode_checkpointed(msg));
   log_event("campaign_checkpointed", msg.path, c->id, msg.completed_trials,
             msg.total_trials);
@@ -584,12 +580,11 @@ void Server::execute(const std::shared_ptr<Campaign>& c) {
   obs::Span exec_span("net", "execute", "campaign_" + std::to_string(c->id));
   try {
     PreparedCampaign prep = prepare_campaign(c->spec, opts_.cache_dir);
-    // Sized here rather than in prepare_campaign: the lease table is the
-    // only reader, and counting attaches a whole Emulator that workers and
-    // the offline CLI need not pay for.
-    const int64_t total_trials =
-        core::count_campaign_layers(*prep.trained.model, prep.cfg) *
-        prep.cfg.injections_per_layer;
+    // One engine for the whole campaign (declared after prep: destroyed
+    // first, restoring the model): set-up is paid once, every local lease
+    // runs on it, and it sizes the lease table.
+    core::CampaignEngine engine(*prep.trained.model, prep.batch, prep.cfg);
+    const int64_t total_trials = engine.total_trials();
     const int64_t chunk = opts_.lease_chunk > 0
                               ? opts_.lease_chunk
                               : std::max<int64_t>(1, (total_trials + 7) / 8);
@@ -601,10 +596,29 @@ void Server::execute(const std::shared_ptr<Campaign>& c) {
     // campaign itself keeps running to completion.
     LineFrameStream row_stream(*c->chan);
     obs::RunLog row_log(row_stream);
+    core::CampaignRunOptions ropts;
+    ropts.model_name = c->spec.model_name;
+    ropts.eval_samples = c->spec.samples;
+    ropts.run_log = &row_log;
+
+    // The campaign's one progress. Only this thread touches it: local
+    // leases run straight into it, and worker parts handed in by session
+    // threads are folded here, so every heartbeat counts the campaign.
+    core::CampaignProgress prog = engine.fresh_progress(ropts);
+    const auto fold_parts = [&] {
+      std::vector<core::CampaignProgress> parts;
+      {
+        std::lock_guard<std::mutex> lock(c->mu);
+        parts.swap(c->parts);
+      }
+      for (const core::CampaignProgress& part : parts) {
+        core::fold_campaign_progress(prog, part, "a worker's lease");
+      }
+    };
 
     int64_t drain_deadline = 0;
-    bool checkpointed = false;
     while (!c->leases.all_done()) {
+      fold_parts();
       const int reclaimed = c->leases.reclaim_expired(now_ns());
       if (reclaimed > 0) {
         log_service_event("lease_reclaimed", "expired", c->id, reclaimed);
@@ -617,9 +631,9 @@ void Server::execute(const std::shared_ptr<Campaign>& c) {
               now_ns() + static_cast<int64_t>(opts_.drain_timeout_ms) * 1000000;
           log_event("campaign_draining", "", c->id);
         } else if (now_ns() >= drain_deadline) {
-          checkpoint_campaign(c);
-          checkpointed = true;
-          break;
+          fold_parts();
+          checkpoint_campaign(c, prog);
+          return;
         }
       }
 
@@ -629,45 +643,31 @@ void Server::execute(const std::shared_ptr<Campaign>& c) {
       if (c->leases.grant(now_ns(), /*timeout_ns=*/0, &l)) {
         obs::Span lease_span("net", "lease_execute",
                              std::to_string(l.lo) + "-" + std::to_string(l.hi));
-        core::CampaignRunOptions ropts;
-        ropts.model_name = c->spec.model_name;
-        ropts.eval_samples = c->spec.samples;
         ropts.lease_lo = l.lo;
         ropts.lease_hi = l.hi;
-        ropts.run_log = &row_log;
-        core::CampaignProgress part = core::run_campaign_trials(
-            *prep.trained.model, prep.batch, prep.cfg, ropts);
+        engine.run(prog, ropts);
         LeaseInfo done_info;
         c->leases.complete(l.id, now_ns(), &done_info);
         note_lease_complete(done_info);
-        std::lock_guard<std::mutex> lock(c->mu);
-        c->parts.push_back(std::move(part));
       } else {
         // Everything is leased out to workers: wait for results (or for a
         // reclaim to put a range back on the queue).
         sleep_ms(20);
       }
     }
-    if (checkpointed) return;
+    fold_parts();  // parts handed in with the last completions
 
-    const core::CampaignProgress merged = merge_parts(c);
-    const core::CampaignResult result = core::finalize_campaign(merged);
+    const core::CampaignResult result = core::finalize_campaign(prog);
     DoneMsg done;
     done.digest = core::campaign_digest(result);
     done.golden_accuracy = result.golden_accuracy;
     done.summary = render_campaign_summary(c->spec, result);
     c->chan->send(FrameType::kDone, encode_done(done));
     log_event("campaign_done", c->spec.format_spec, c->id,
-              merged.completed_trials(), merged.total_trials());
-  } catch (const NetError& e) {
-    // Bad spec, or the submit client vanished at the final send. Best
-    // effort: tell the client, keep the daemon alive.
-    try {
-      c->chan->send(FrameType::kError, encode_error({e.what()}));
-    } catch (const NetError&) {
-    }
-    log_event("campaign_error", e.what(), c->id);
+              prog.completed_trials(), prog.total_trials());
   } catch (const std::exception& e) {
+    // Bad spec, a lying worker's part, or the submit client vanished at
+    // the final send. Best effort: tell the client, keep the daemon alive.
     try {
       c->chan->send(FrameType::kError, encode_error({e.what()}));
     } catch (const NetError&) {

@@ -7,16 +7,18 @@
 //                                 submit clients enqueue campaigns, worker
 //                                 clients lease trial ranges / return
 //                                 results / forward their trial rows
-//   executor thread               pops campaigns FIFO, runs them on the
-//                                 in-process pool chunk by chunk (itself a
-//                                 lease holder), merges worker parts, and
-//                                 streams rows + the final digest to the
+//   executor thread               pops campaigns FIFO, sets each up once
+//                                 (one core::CampaignEngine), runs leases
+//                                 on it chunk by chunk (itself a lease
+//                                 holder), folds worker parts into the
+//                                 campaign's one progress, and streams
+//                                 rows + the final digest to the
 //                                 submitting client
 //
 // Campaigns execute one at a time (FIFO); within a campaign, work is
 // stolen freely between the local executor and any number of remote
-// workers via the LeaseTable. Every result path funnels through
-// merge_campaign_progress, so the served digest is bitwise identical to
+// workers via the LeaseTable. Every worker part funnels through
+// fold_campaign_progress, so the served digest is bitwise identical to
 // an offline run no matter who ran what.
 //
 // Shutdown: request_stop() (SIGINT/SIGTERM in the CLI) stops accepting,
@@ -94,13 +96,14 @@ class Server {
 
  private:
   /// One campaign in flight (or queued): the submit connection, the lease
-  /// table partitioning its trial space, and the result parts mailbox.
+  /// table partitioning its trial space, and the worker parts waiting for
+  /// the executor to fold them into the campaign's progress.
   struct Campaign {
     uint64_t id = 0;
     CampaignSpecMsg spec;
     std::shared_ptr<FrameChannel> chan;
     LeaseTable leases;
-    std::mutex mu;
+    std::mutex mu;  ///< guards parts, and completes worker leases
     std::vector<core::CampaignProgress> parts;
     std::string submitter;   ///< hello identity, for /status
     int64_t enqueue_ns = 0;  ///< queue-wait span start (steady clock)
@@ -124,10 +127,8 @@ class Server {
                     const std::string& who);
   void executor_loop();
   void execute(const std::shared_ptr<Campaign>& c);
-  void checkpoint_campaign(const std::shared_ptr<Campaign>& c);
-  /// Merge c->parts (relabelled with distinct shard indices) into one
-  /// progress; parts must be non-empty.
-  core::CampaignProgress merge_parts(const std::shared_ptr<Campaign>& c);
+  void checkpoint_campaign(const std::shared_ptr<Campaign>& c,
+                           const core::CampaignProgress& prog);
 
   std::shared_ptr<Campaign> active_campaign();
   void log_event(const char* type, const std::string& detail,

@@ -33,8 +33,6 @@ std::optional<Frame> FrameChannel::recv_wait(int timeout_ms, bool* timed_out) {
   return recv();
 }
 
-void FrameChannel::shutdown() { sock_.close(); }
-
 int LineFrameBuf::overflow(int ch) {
   if (ch == traits_type::eof()) return 0;
   if (ch == '\n') {

@@ -7,7 +7,7 @@
 //    Reads don't: every channel has exactly one reader thread.
 //  - LineFrameStream: an ostream whose every '\n'-terminated line leaves
 //    as one kLogRow frame. Wrapping it in obs::RunLog(std::ostream&)
-//    turns run_campaign_trials' report stream into live row streaming —
+//    turns a campaign engine's report stream into live row streaming —
 //    the rows on the wire are the exact bytes an offline --report run
 //    would have written.
 //  - The campaign-spec path shared by `campaign`, `submit`, `serve` and
@@ -19,7 +19,7 @@
 //    (telemetry only — results are bitwise independent of tracing).
 //    Every process prepares against its own cache dir; deterministic
 //    synthetic training makes the weights bitwise identical across
-//    processes, and the golden-digest check in merge_campaign_progress
+//    processes, and the golden-digest check in fold_campaign_progress
 //    turns any divergence into a diagnosed error instead of silently
 //    mixed statistics.
 #pragma once
@@ -58,9 +58,6 @@ class FrameChannel {
   std::optional<Frame> recv_wait(int timeout_ms, bool* timed_out);
 
   const std::string& context() const noexcept { return context_; }
-  bool valid() const noexcept { return sock_.valid(); }
-  /// Close the socket out from under any blocked reader (shutdown path).
-  void shutdown();
 
  private:
   std::mutex send_mu_;
@@ -134,8 +131,8 @@ const char* error_model_label(core::ErrorModel model);
 std::string campaign_spec_error(const CampaignSpecMsg& spec);
 
 /// A campaign reconstructed from its spec: trained model, evaluation batch,
-/// and the CampaignConfig (with replica factory) ready for
-/// run_campaign_trials.
+/// and the CampaignConfig (with replica factory) ready for a
+/// core::CampaignEngine.
 struct PreparedCampaign {
   models::TrainedModel trained;
   data::Batch batch;

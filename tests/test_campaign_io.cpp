@@ -57,6 +57,20 @@ CampaignConfig campaign_cfg() {
   return cfg;
 }
 
+/// Trials owned by (progress.shards, progress.shard_index) not yet done.
+int64_t owned_trials_remaining(const CampaignProgress& progress) {
+  int64_t n = 0;
+  for (const LayerProgress& l : progress.layers) {
+    for (size_t ti = 0; ti < l.done.size(); ++ti) {
+      const bool owned = progress.shards <= 1 ||
+                         static_cast<int64_t>(ti) % progress.shards ==
+                             progress.shard_index;
+      if (owned && l.done[ti] == 0) ++n;
+    }
+  }
+  return n;
+}
+
 std::string tmp_path(const std::string& name) {
   return "/tmp/ge_test_campaign_io_" + name + ".gec";
 }

@@ -20,6 +20,7 @@
 
 #include "core/campaign.hpp"
 #include "core/cli.hpp"
+#include "core/json_scan.hpp"
 #include "io/campaign_state.hpp"
 #include "net/client.hpp"
 #include "net/codec.hpp"
@@ -381,10 +382,22 @@ TEST(MessageCodec, ControlMessagesRoundTrip) {
 
 // --- lease table -----------------------------------------------------------
 
+/// Currently outstanding (live) leases, from the table's public view.
+int64_t live_leases(const LeaseTable& t) {
+  return static_cast<int64_t>(t.snapshot(0).size());
+}
+
+/// Trials in ranges not yet leased (or reclaimed back).
+int64_t unleased_trials(const LeaseTable& t) {
+  int64_t leased = 0;
+  for (const LeaseInfo& li : t.snapshot(0)) leased += li.hi - li.lo;
+  return t.total_trials() - t.completed_trials() - leased;
+}
+
 TEST(LeaseTable, GrantsChunksInOrderWithShortTail) {
   LeaseTable t;
   t.reset(10, 4);  // [0,4) [4,8) [8,10)
-  EXPECT_EQ(t.unleased_trials(), 10);
+  EXPECT_EQ(unleased_trials(t), 10);
   Lease a, b, c, d;
   ASSERT_TRUE(t.grant(0, 0, &a));
   ASSERT_TRUE(t.grant(0, 0, &b));
@@ -396,7 +409,7 @@ TEST(LeaseTable, GrantsChunksInOrderWithShortTail) {
   EXPECT_EQ(b.hi, 8);
   EXPECT_EQ(c.lo, 8);
   EXPECT_EQ(c.hi, 10);
-  EXPECT_EQ(t.live_leases(), 3);
+  EXPECT_EQ(live_leases(t), 3);
   EXPECT_TRUE(t.complete(a.id));
   EXPECT_TRUE(t.complete(b.id));
   EXPECT_FALSE(t.all_done());
@@ -411,8 +424,8 @@ TEST(LeaseTable, ExpiryReclaimsAndStaleResultIsDiscarded) {
   ASSERT_TRUE(t.grant(/*now=*/1000, /*timeout=*/500, &a));
   EXPECT_EQ(t.reclaim_expired(1400), 0);  // deadline 1500 not yet passed
   EXPECT_EQ(t.reclaim_expired(1600), 1);
-  EXPECT_EQ(t.live_leases(), 0);
-  EXPECT_EQ(t.unleased_trials(), 6);
+  EXPECT_EQ(live_leases(t), 0);
+  EXPECT_EQ(unleased_trials(t), 6);
   // The dead lease id must not be able to complete: its range has been
   // requeued and will be re-run; accepting the late result would double
   // count trials (merge would reject the overlapping done sets).
@@ -477,12 +490,6 @@ CampaignSpecMsg e2e_spec() {
   return s;
 }
 
-/// The campaign's trial-space size, as the server sizes its lease table.
-int64_t total_trials(PreparedCampaign& prep) {
-  return core::count_campaign_layers(*prep.trained.model, prep.cfg) *
-         prep.cfg.injections_per_layer;
-}
-
 uint64_t offline_digest(const CampaignSpecMsg& spec) {
   PreparedCampaign prep = prepare_campaign(spec, kCacheDir);
   core::CampaignRunOptions opts;
@@ -493,54 +500,64 @@ uint64_t offline_digest(const CampaignSpecMsg& spec) {
   return core::campaign_digest(core::finalize_campaign(prog));
 }
 
-TEST(LeasePartition, ArbitraryPartitionMergesBitwiseIdentical) {
+/// The campaign's trial-space size, as the server sizes its lease table.
+int64_t total_trials(const CampaignSpecMsg& spec) {
+  PreparedCampaign prep = prepare_campaign(spec, kCacheDir);
+  return core::CampaignEngine(*prep.trained.model, prep.batch, prep.cfg)
+      .total_trials();
+}
+
+TEST(LeasePartition, OneEngineRunsLeasesOutOfOrderBitwiseIdentical) {
   ThreadGuard guard;
   parallel::set_num_threads(2);
   const CampaignSpecMsg spec = e2e_spec();
   PreparedCampaign prep = prepare_campaign(spec, kCacheDir);
-  const int64_t t = total_trials(prep);
+  core::CampaignEngine engine(*prep.trained.model, prep.batch, prep.cfg);
+  const int64_t t = engine.total_trials();
   ASSERT_GT(t, 4);
 
-  // Uneven three-way cut of the global trial index space.
-  const std::vector<std::pair<int64_t, int64_t>> cuts = {
-      {0, 1}, {1, t / 2}, {t / 2, t}};
+  // An uneven three-way cut of the global trial index space, run out of
+  // order on one engine both ways the service does: the executor runs
+  // each lease straight into the campaign's progress, a worker runs it
+  // into a fresh part that is folded in.
+  core::CampaignRunOptions opts;
+  opts.model_name = spec.model_name;
+  opts.eval_samples = spec.samples;
+  core::CampaignProgress direct = engine.fresh_progress(opts);
+  core::CampaignProgress folded = engine.fresh_progress(opts);
   std::vector<core::CampaignProgress> parts;
-  for (const auto& [lo, hi] : cuts) {
-    core::CampaignRunOptions opts;
-    opts.model_name = spec.model_name;
-    opts.eval_samples = spec.samples;
+  for (const auto& [lo, hi] : std::vector<std::pair<int64_t, int64_t>>{
+           {t / 2, t}, {0, 1}, {1, t / 2}}) {
     opts.lease_lo = lo;
     opts.lease_hi = hi;
-    parts.push_back(core::run_campaign_trials(*prep.trained.model, prep.batch,
-                                              prep.cfg, opts));
+    engine.run(direct, opts);
+    parts.push_back(engine.fresh_progress(opts));
+    engine.run(parts.back(), opts);
     EXPECT_EQ(parts.back().completed_trials(), hi - lo);
+    core::fold_campaign_progress(folded, parts.back(), "lease");
   }
-  // Same relabelling the server's merge path uses: each part becomes one
-  // shard of a single logical run.
-  for (size_t i = 0; i < parts.size(); ++i) {
-    parts[i].shards = static_cast<int>(parts.size());
-    parts[i].shard_index = static_cast<int>(i);
-  }
-  const core::CampaignProgress merged = core::merge_campaign_progress(parts);
-  EXPECT_TRUE(merged.complete());
-  EXPECT_EQ(core::campaign_digest(core::finalize_campaign(merged)),
-            offline_digest(spec));
+  const uint64_t want = offline_digest(spec);
+  ASSERT_TRUE(direct.complete());
+  ASSERT_TRUE(folded.complete());
+  EXPECT_EQ(core::campaign_digest(core::finalize_campaign(direct)), want);
+  EXPECT_EQ(core::campaign_digest(core::finalize_campaign(folded)), want);
+  // The fold keeps done sets disjoint: a part folded twice is refused.
+  EXPECT_THROW(core::fold_campaign_progress(folded, parts[0], "lease"),
+               io::IoError);
 }
 
 TEST(LeasePartition, BoundsAreValidated) {
   const CampaignSpecMsg spec = e2e_spec();
   PreparedCampaign prep = prepare_campaign(spec, kCacheDir);
+  core::CampaignEngine engine(*prep.trained.model, prep.batch, prep.cfg);
   core::CampaignRunOptions opts;
+  core::CampaignProgress prog = engine.fresh_progress(opts);
   opts.lease_lo = 0;
-  opts.lease_hi = total_trials(prep) + 1;  // beyond the trial space
-  EXPECT_THROW(core::run_campaign_trials(*prep.trained.model, prep.batch,
-                                         prep.cfg, opts),
-               std::invalid_argument);
+  opts.lease_hi = engine.total_trials() + 1;  // beyond the trial space
+  EXPECT_THROW(engine.run(prog, opts), std::invalid_argument);
   opts.lease_lo = 5;
   opts.lease_hi = 3;  // inverted
-  EXPECT_THROW(core::run_campaign_trials(*prep.trained.model, prep.batch,
-                                         prep.cfg, opts),
-               std::invalid_argument);
+  EXPECT_THROW(engine.run(prog, opts), std::invalid_argument);
 }
 
 // --- loopback end to end ---------------------------------------------------
@@ -609,6 +626,23 @@ ServedRun serve_and_submit(const CampaignSpecMsg& spec, ServeOptions sopts,
   return r;
 }
 
+/// `goldeneye campaign`'s stdout for `spec`.
+std::string offline_stdout(const CampaignSpecMsg& spec) {
+  std::ostringstream out, err;
+  EXPECT_EQ(
+      core::run_cli(
+          {"campaign", "--model", spec.model_name, "--epochs",
+           std::to_string(spec.epochs), "--samples",
+           std::to_string(spec.samples), "--format", spec.format_spec,
+           "--site", site_label(static_cast<core::InjectionSite>(spec.site)),
+           "--injections", std::to_string(spec.injections_per_layer),
+           "--seed", std::to_string(spec.seed), "--cache", kCacheDir},
+          out, err),
+      0)
+      << err.str();
+  return out.str();
+}
+
 TEST(ServeLoopback, ServedDigestMatchesOfflineAtOneAndFourThreads) {
   ThreadGuard guard;
   const CampaignSpecMsg spec = e2e_spec();
@@ -628,29 +662,19 @@ TEST(ServeLoopback, ServedDigestMatchesOfflineAtOneAndFourThreads) {
 
   // The offline CLI's stdout for the same spec: the served stdout must be
   // byte-identical to it, not just carry the same digest.
-  std::ostringstream offline_out, offline_err;
-  ASSERT_EQ(core::run_cli({"campaign", "--model", spec.model_name,
-                           "--epochs", std::to_string(spec.epochs),
-                           "--samples", std::to_string(spec.samples),
-                           "--format", spec.format_spec, "--injections",
-                           std::to_string(spec.injections_per_layer),
-                           "--seed", std::to_string(spec.seed), "--cache",
-                           kCacheDir},
-                          offline_out, offline_err),
-            0)
-      << offline_err.str();
-  ASSERT_EQ(parse_digest(offline_out.str()), offline1);
+  const std::string offline_out = offline_stdout(spec);
+  ASSERT_EQ(parse_digest(offline_out), offline1);
 
   const ServedRun r1 = serve_and_submit(spec, ServeOptions{});
   ASSERT_EQ(r1.code, 0) << r1.out << r1.err;
   EXPECT_EQ(parse_digest(r1.out), offline1);
-  EXPECT_EQ(r1.out, offline_out.str());
+  EXPECT_EQ(r1.out, offline_out);
 
   parallel::set_num_threads(4);
   const ServedRun r4 = serve_and_submit(spec, ServeOptions{});
   ASSERT_EQ(r4.code, 0) << r4.out << r4.err;
   EXPECT_EQ(parse_digest(r4.out), offline1);
-  EXPECT_EQ(r4.out, offline_out.str());
+  EXPECT_EQ(r4.out, offline_out);
 
   // The streamed rows are the exact bytes an offline --report run writes
   // (sorted: chunked execution reorders rows, never alters them).
@@ -658,6 +682,76 @@ TEST(ServeLoopback, ServedDigestMatchesOfflineAtOneAndFourThreads) {
   ASSERT_FALSE(offline_rows.empty());
   EXPECT_EQ(trial_rows(r1.report), offline_rows);
   EXPECT_EQ(trial_rows(r4.report), offline_rows);
+}
+
+TEST(ServeLoopback, CampaignWithNoCampaignedLayersMatchesOffline) {
+  // fp_e4m3 has no block metadata, so a metadata campaign has no layers:
+  // the server finalizes the empty campaign with no lease and no fold,
+  // exactly as the offline run does.
+  CampaignSpecMsg spec = e2e_spec();
+  spec.site = static_cast<uint8_t>(core::InjectionSite::kMetadata);
+  ASSERT_EQ(total_trials(spec), 0);
+  const ServedRun r = serve_and_submit(spec, ServeOptions{});
+  ASSERT_EQ(r.code, 0) << r.out << r.err;
+  EXPECT_EQ(r.out, offline_stdout(spec));
+}
+
+TEST(ServeLoopback, HeartbeatsCountTheCampaignNotTheLease) {
+  ThreadGuard guard;
+  parallel::set_num_threads(2);
+  const CampaignSpecMsg spec = e2e_spec();
+  const int64_t t = total_trials(spec);
+  ServeOptions sopts;
+  sopts.lease_chunk = 3;
+  ASSERT_GE(t, 3 * sopts.lease_chunk);  // several leases
+  const ServedRun r = serve_and_submit(spec, sopts);
+  ASSERT_EQ(r.code, 0) << r.out << r.err;
+
+  std::vector<std::pair<int64_t, int64_t>> beats;  // (done, total)
+  std::istringstream in(r.report);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"type\":\"heartbeat\"") == std::string::npos) continue;
+    const auto rec = core::jsonscan::parse_record(line);
+    ASSERT_TRUE(rec.has_value()) << line;
+    beats.emplace_back(
+        static_cast<int64_t>(core::jsonscan::get_num(*rec, "done").value()),
+        static_cast<int64_t>(core::jsonscan::get_num(*rec, "total").value()));
+  }
+  ASSERT_FALSE(beats.empty()) << r.report;
+  for (size_t i = 0; i < beats.size(); ++i) {
+    EXPECT_EQ(beats[i].second, t) << "heartbeat " << i;
+    if (i > 0) {
+      EXPECT_GE(beats[i].first, beats[i - 1].first) << "heartbeat " << i;
+    }
+  }
+  EXPECT_EQ(beats.back().first, t);
+}
+
+TEST(ServeLoopback, ServedCampaignIsSetUpOnce) {
+  // The golden-prefix cache is recorded once per engine. A served campaign
+  // of several leases must record it once, like one offline run — not once
+  // per lease.
+  ThreadGuard guard;
+  parallel::set_num_threads(2);
+  const CampaignSpecMsg spec = e2e_spec();
+  ServeOptions sopts;
+  sopts.lease_chunk = 3;
+  ASSERT_GE(total_trials(spec), 3 * sopts.lease_chunk);
+
+  obs::TelemetryScope scope(/*tracing=*/false, /*metrics=*/true);
+  obs::reset_all();
+  (void)offline_digest(spec);
+  const uint64_t offline_bytes =
+      obs::counter_value(obs::Counter::kPrefixCacheBytes);
+  ASSERT_GT(offline_bytes, 0u);
+
+  obs::reset_all();
+  const ServedRun r = serve_and_submit(spec, sopts);
+  ASSERT_EQ(r.code, 0) << r.out << r.err;
+  EXPECT_EQ(obs::counter_value(obs::Counter::kPrefixCacheBytes),
+            offline_bytes);
+  obs::reset_all();
 }
 
 TEST(ServeLoopback, WorkerExecutesLeasesAndDigestStillMatches) {
