@@ -1,5 +1,6 @@
 #include "nn/attention.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -27,28 +28,13 @@ MultiheadSelfAttention::MultiheadSelfAttention(int64_t embed_dim,
 
 namespace {
 
-/// Copy one (T, head_dim) head slice out of a (B, T, 3D) qkv tensor.
-/// `which` selects q (0), k (1) or v (2).
-void gather_head(const Tensor& qkv, int64_t b, int64_t h, int which,
-                 int64_t T, int64_t D, int64_t hd, Tensor& dst) {
-  const float* p = qkv.data();
-  float* pd = dst.data();
-  for (int64_t t = 0; t < T; ++t) {
-    const float* row = p + (b * T + t) * 3 * D + which * D + h * hd;
-    for (int64_t i = 0; i < hd; ++i) pd[t * hd + i] = row[i];
-  }
-}
-
-/// Scatter-add one (T, head_dim) gradient back into a (B, T, 3D) buffer.
-/// Takes the raw pointer (resolved once, outside the parallel region) so no
-/// worker thread touches the shared Tensor handle.
-void scatter_head(float* p, int64_t b, int64_t h, int which, int64_t T,
-                  int64_t D, int64_t hd, const Tensor& src) {
-  const float* ps = src.cdata();
-  for (int64_t t = 0; t < T; ++t) {
-    float* row = p + (b * T + t) * 3 * D + which * D + h * hd;
-    for (int64_t i = 0; i < hd; ++i) row[i] += ps[t * hd + i];
-  }
+/// (T, hd) view of columns [col, col + hd) of batch row `b` of a (B, T, W)
+/// tensor: a head of q, k or v (W = 3D) or of a merged gradient (W = D),
+/// read in place with row stride W.
+ConstTensorView head_view(const Tensor& t, int64_t b, int64_t col,
+                          int64_t hd) {
+  const int64_t T = t.size(1), W = t.size(2);
+  return ConstTensorView(t, b * T * W + col, {T, hd}, {W, 1});
 }
 
 }  // namespace
@@ -59,58 +45,41 @@ Tensor MultiheadSelfAttention::forward(const Tensor& input) {
                                 std::to_string(dim_) + ")");
   }
   const int64_t B = input.size(0), T = input.size(1);
+  const int64_t D = dim_, hd = head_dim_;
   Tensor qkv = (*qkv_)(input);  // (B, T, 3D), hooks fire on the projection
 
   const bool cache = is_training();
   if (cache) {
-    q_ = Tensor({B, heads_, T, head_dim_});
-    k_ = Tensor({B, heads_, T, head_dim_});
-    v_ = Tensor({B, heads_, T, head_dim_});
+    qkv_cache_ = qkv;  // O(1) share: backward reads its q/k/v heads
     attn_ = Tensor({B, heads_, T, T});
     cached_B_ = B;
     cached_T_ = T;
   }
 
-  Tensor merged({B, T, dim_});
+  Tensor merged({B, T, D});
   // Resolve mutable pointers once, before the parallel region: COW (if any)
   // fires here on one thread, and workers below only use raw pointers into
   // buffers that are unique by construction.
   float* const pm = merged.data();
-  float* const pq = cache ? q_.data() : nullptr;
-  float* const pk = cache ? k_.data() : nullptr;
-  float* const pv = cache ? v_.data() : nullptr;
   float* const pattn = cache ? attn_.data() : nullptr;
-  // (b, h) pairs are independent: each writes its own head_dim_ column slice
-  // of `merged` and its own cache slices. Scratch tensors live inside the
-  // body so concurrent chunks never share them; the inner matmuls run serial
-  // inline because we're already in a parallel region.
+  // (b, h) pairs are independent: each writes its own hd-column slice of
+  // `merged` and its own attn_ slice. The inner GEMMs run serial inline
+  // because we're already in a parallel region.
   parallel::parallel_for(
-      0, B * heads_, parallel::grain_for(2 * T * T * head_dim_),
+      0, B * heads_, parallel::grain_for(2 * T * T * hd),
       [&](int64_t lo, int64_t hi) {
-        Tensor qh({T, head_dim_}), kh({T, head_dim_}), vh({T, head_dim_});
         for (int64_t bh = lo; bh < hi; ++bh) {
           const int64_t b = bh / heads_;
-          const int64_t h = bh % heads_;
-          gather_head(qkv, b, h, 0, T, dim_, head_dim_, qh);
-          gather_head(qkv, b, h, 1, T, dim_, head_dim_, kh);
-          gather_head(qkv, b, h, 2, T, dim_, head_dim_, vh);
-          Tensor scores = ops::matmul_bt(qh, kh);  // (T, T)
+          const int64_t col = (bh % heads_) * hd;
+          Tensor scores({T, T});
+          ops::gemm(head_view(qkv, b, col, hd),
+                    head_view(qkv, b, D + col, hd).transposed(),
+                    scores.data(), T);
           ops::mul_scalar_inplace(scores, scale_);
           Tensor attn = ops::softmax_lastdim(scores);
-          Tensor out = ops::matmul(attn, vh);  // (T, head_dim)
-          // write head output into the merged (B, T, D) tensor
-          const float* po = out.cdata();
-          for (int64_t t = 0; t < T; ++t) {
-            float* row = pm + (b * T + t) * dim_ + h * head_dim_;
-            for (int64_t i = 0; i < head_dim_; ++i) {
-              row[i] = po[t * head_dim_ + i];
-            }
-          }
+          ops::gemm(ConstTensorView(attn), head_view(qkv, b, 2 * D + col, hd),
+                    pm + b * T * D + col, D);
           if (cache) {
-            const int64_t base = bh * T * head_dim_;
-            std::copy(qh.cdata(), qh.cdata() + T * head_dim_, pq + base);
-            std::copy(kh.cdata(), kh.cdata() + T * head_dim_, pk + base);
-            std::copy(vh.cdata(), vh.cdata() + T * head_dim_, pv + base);
             std::copy(attn.cdata(), attn.cdata() + T * T, pattn + bh * T * T);
           }
         }
@@ -124,52 +93,38 @@ Tensor MultiheadSelfAttention::backward(const Tensor& grad_out) {
         "MultiheadSelfAttention::backward before training forward");
   }
   const int64_t B = cached_B_, T = cached_T_;
+  const int64_t D = dim_, hd = head_dim_;
   Tensor g_merged = proj_->backward(grad_out);  // (B, T, D)
-  Tensor gqkv({B, T, 3 * dim_});
+  Tensor gqkv({B, T, 3 * D});
 
   // Pointers resolved on this thread, before the region (same rationale as
   // in forward()).
   float* const pgq = gqkv.data();
-  const float* const pq = q_.cdata();
-  const float* const pk = k_.cdata();
-  const float* const pv = v_.cdata();
   const float* const pattn_all = attn_.cdata();
-  const float* const pm = g_merged.cdata();
 
-  // Same (b, h) independence as the forward pass: each pair scatter-adds
-  // into its own disjoint q/k/v slices of gqkv.
+  // Same (b, h) independence as the forward pass: each pair writes its own
+  // disjoint q/k/v head columns of gqkv.
   parallel::parallel_for(
-      0, B * heads_, parallel::grain_for(4 * T * T * head_dim_),
+      0, B * heads_, parallel::grain_for(4 * T * T * hd),
       [&](int64_t lo, int64_t hi) {
-        Tensor gout({T, head_dim_});
         for (int64_t bh = lo; bh < hi; ++bh) {
           const int64_t b = bh / heads_;
-          const int64_t h = bh % heads_;
-          // slice caches for this (b, h)
-          const int64_t base = bh * T * head_dim_;
-          Tensor qh({T, head_dim_}), kh({T, head_dim_}), vh({T, head_dim_});
-          std::copy(pq + base, pq + base + T * head_dim_, qh.data());
-          std::copy(pk + base, pk + base + T * head_dim_, kh.data());
-          std::copy(pv + base, pv + base + T * head_dim_, vh.data());
-          Tensor attn({T, T});
-          std::copy(pattn_all + bh * T * T, pattn_all + (bh + 1) * T * T,
-                    attn.data());
-          // gradient of this head's output
-          float* pg = gout.data();
-          for (int64_t t = 0; t < T; ++t) {
-            const float* row = pm + (b * T + t) * dim_ + h * head_dim_;
-            for (int64_t i = 0; i < head_dim_; ++i) {
-              pg[t * head_dim_ + i] = row[i];
-            }
-          }
+          const int64_t col = (bh % heads_) * hd;
+          const ConstTensorView q = head_view(qkv_cache_, b, col, hd);
+          const ConstTensorView k = head_view(qkv_cache_, b, D + col, hd);
+          const ConstTensorView v = head_view(qkv_cache_, b, 2 * D + col, hd);
+          const ConstTensorView gout = head_view(g_merged, b, col, hd);
+          const ConstTensorView attn(attn_, bh * T * T, {T, T}, {T, 1});
+          float* const gq = pgq + b * T * 3 * D + col;  // k at +D, v at +2D
           // out = attn @ v
-          Tensor d_attn = ops::matmul_bt(gout, vh);  // (T, T)
-          Tensor d_v = ops::matmul_at(attn, gout);   // (T, head_dim)
+          Tensor d_attn({T, T});
+          ops::gemm(gout, v.transposed(), d_attn.data(), T);
+          ops::gemm(attn.transposed(), gout, gq + 2 * D, 3 * D);  // d_v
           // softmax backward, row-wise: ds = a * (da - sum(da * a))
           Tensor d_scores({T, T});
           {
-            const float* pa = attn.data();
-            const float* pda = d_attn.data();
+            const float* pa = pattn_all + bh * T * T;
+            const float* pda = d_attn.cdata();
             float* pds = d_scores.data();
             for (int64_t r = 0; r < T; ++r) {
               double dot = 0.0;
@@ -183,11 +138,9 @@ Tensor MultiheadSelfAttention::backward(const Tensor& grad_out) {
             }
           }
           ops::mul_scalar_inplace(d_scores, scale_);
-          Tensor d_q = ops::matmul(d_scores, kh);     // (T, head_dim)
-          Tensor d_k = ops::matmul_at(d_scores, qh);  // (T, head_dim)
-          scatter_head(pgq, b, h, 0, T, dim_, head_dim_, d_q);
-          scatter_head(pgq, b, h, 1, T, dim_, head_dim_, d_k);
-          scatter_head(pgq, b, h, 2, T, dim_, head_dim_, d_v);
+          const ConstTensorView ds(d_scores);
+          ops::gemm(ds, k, gq, 3 * D);                   // d_q
+          ops::gemm(ds.transposed(), q, gq + D, 3 * D);  // d_k
         }
       });
   return qkv_->backward(gqkv);

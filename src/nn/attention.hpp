@@ -30,9 +30,9 @@ class MultiheadSelfAttention : public Module {
   float scale_;
   std::unique_ptr<Linear> qkv_;
   std::unique_ptr<Linear> proj_;
-  // caches (training forward only), laid out (B, H, T, head_dim)
-  Tensor q_, k_, v_;
-  Tensor attn_;  // (B, H, T, T)
+  // caches (training forward only)
+  Tensor qkv_cache_;  // (B, T, 3D) projection output, shared not copied
+  Tensor attn_;       // (B, H, T, T)
   int64_t cached_B_ = 0, cached_T_ = 0;
 };
 

@@ -50,7 +50,10 @@ Tensor Linear::backward(const Tensor& grad_out) {
   const int64_t rows = cached_input_.size(0);
   Tensor g2d = grad_out.reshape({rows, out_});
   // dW += g^T x ; db += column-sum(g) ; dx = g W
-  ops::add_inplace(weight_.grad, ops::matmul_at(g2d, cached_input_));
+  Tensor gw(weight_.value.shape());
+  ops::gemm(ConstTensorView(g2d).transposed(), ConstTensorView(cached_input_),
+            gw.data(), in_);
+  ops::add_inplace(weight_.grad, gw);
   if (with_bias_) {
     float* pgb = bias_.grad.data();
     const float* pg = g2d.cdata();

@@ -24,9 +24,10 @@ void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
   }
 }
 
-template <typename F>
-Tensor binary(const Tensor& a, const Tensor& b, const char* op, F f) {
-  check_same_shape(a, b, op);
+}  // namespace
+
+Tensor add(const Tensor& a, const Tensor& b) {
+  check_same_shape(a, b, "add");
   Tensor out(a.shape());
   const float* pa = a.cdata();
   const float* pb = b.cdata();
@@ -34,37 +35,10 @@ Tensor binary(const Tensor& a, const Tensor& b, const char* op, F f) {
   parallel::parallel_for(0, a.numel(), kElementGrain,
                          [&](int64_t lo, int64_t hi) {
                            for (int64_t i = lo; i < hi; ++i) {
-                             po[i] = f(pa[i], pb[i]);
+                             po[i] = pa[i] + pb[i];
                            }
                          });
   return out;
-}
-
-template <typename F>
-Tensor unary(const Tensor& a, F f) {
-  Tensor out(a.shape());
-  const float* pa = a.cdata();
-  float* po = out.data();
-  parallel::parallel_for(0, a.numel(), kElementGrain,
-                         [&](int64_t lo, int64_t hi) {
-                           for (int64_t i = lo; i < hi; ++i) po[i] = f(pa[i]);
-                         });
-  return out;
-}
-
-}  // namespace
-
-Tensor add(const Tensor& a, const Tensor& b) {
-  return binary(a, b, "add", [](float x, float y) { return x + y; });
-}
-Tensor sub(const Tensor& a, const Tensor& b) {
-  return binary(a, b, "sub", [](float x, float y) { return x - y; });
-}
-Tensor mul(const Tensor& a, const Tensor& b) {
-  return binary(a, b, "mul", [](float x, float y) { return x * y; });
-}
-Tensor div(const Tensor& a, const Tensor& b) {
-  return binary(a, b, "div", [](float x, float y) { return x / y; });
 }
 
 void add_inplace(Tensor& a, const Tensor& b) {
@@ -77,65 +51,14 @@ void add_inplace(Tensor& a, const Tensor& b) {
                          });
 }
 
-Tensor add_scalar(const Tensor& a, float s) {
-  return unary(a, [s](float x) { return x + s; });
-}
-Tensor mul_scalar(const Tensor& a, float s) {
-  return unary(a, [s](float x) { return x * s; });
-}
 void mul_scalar_inplace(Tensor& a, float s) {
   for (float& v : a.flat()) v *= s;
-}
-
-Tensor neg(const Tensor& a) {
-  return unary(a, [](float x) { return -x; });
-}
-Tensor exp(const Tensor& a) {
-  return unary(a, [](float x) { return std::exp(x); });
-}
-Tensor abs(const Tensor& a) {
-  return unary(a, [](float x) { return std::fabs(x); });
-}
-Tensor sqrt(const Tensor& a) {
-  return unary(a, [](float x) { return std::sqrt(x); });
-}
-Tensor tanh(const Tensor& a) {
-  return unary(a, [](float x) { return std::tanh(x); });
-}
-Tensor clamp(const Tensor& a, float lo, float hi) {
-  return unary(a, [lo, hi](float x) { return std::clamp(x, lo, hi); });
-}
-
-Tensor map(const Tensor& a, const std::function<float(float)>& f) {
-  return unary(a, [&f](float x) { return f(x); });
-}
-void map_inplace(Tensor& a, const std::function<float(float)>& f) {
-  for (float& v : a.flat()) v = f(v);
-}
-
-float sum(const Tensor& a) {
-  double s = 0.0;  // double accumulator: stable for large tensors
-  for (float v : a.flat()) s += v;
-  return static_cast<float>(s);
-}
-
-float mean(const Tensor& a) {
-  if (a.numel() == 0) throw std::invalid_argument("mean of empty tensor");
-  return sum(a) / static_cast<float>(a.numel());
 }
 
 float max_abs(const Tensor& a) {
   float m = 0.0f;
   for (float v : a.flat()) m = std::max(m, std::fabs(v));
   return m;
-}
-
-float sum(const ConstTensorView& v) {
-  double s = 0.0;  // double accumulator, view order: matches sum(Tensor)
-  const float* p = v.storage();
-  const int64_t n = v.numel();
-  for (int64_t i = 0; i < n; ++i) s += p[v.flat_offset(i)];
-  return static_cast<float>(s);
 }
 
 float max_abs(const ConstTensorView& v) {
@@ -146,17 +69,6 @@ float max_abs(const ConstTensorView& v) {
     m = std::max(m, std::fabs(p[v.flat_offset(i)]));
   }
   return m;
-}
-
-void map_view_inplace(TensorView& v, const std::function<float(float)>& f) {
-  float* p = v.storage();  // COW detach happens here, single-threaded
-  parallel::parallel_for(0, v.numel(), kElementGrain,
-                         [&](int64_t lo, int64_t hi) {
-                           for (int64_t i = lo; i < hi; ++i) {
-                             const int64_t s = v.flat_offset(i);
-                             p[s] = f(p[s]);
-                           }
-                         });
 }
 
 float min_value(const Tensor& a) {
@@ -194,106 +106,114 @@ std::vector<int64_t> argmax_rows(const Tensor& a) {
   return out;
 }
 
-// Accumulation policy (all matmul variants): float32 multiply-accumulate
-// in ascending-k order. This matches the emulated accelerator's native
-// FP32 MAC fabric (DESIGN.md §1: "native" = the hardware's own format) and
-// makes the three variants agree bitwise on the same logical product —
-// each output element sees the identical sequence of FP32 additions — so
-// layers are free to pick whichever operand layout is cache-friendly.
-// Rows of the output are independent, which is also the parallel axis.
+// The one FP32 GEMM. Every matmul, conv and attention head runs it, so
+// there is one accumulation policy: each output element is one FP32
+// accumulator that starts at +0.0 and adds a[i,k] * b[k,j] in ascending k.
+// That is the emulated accelerator's native FP32 MAC fabric (DESIGN.md §1:
+// "native" = the hardware's own format). No term is skipped — a zero times
+// an Inf is NaN, as on IEEE hardware — and skipping would not change a
+// finite result anyway: an accumulator that starts at +0.0 never becomes
+// -0.0 under round-to-nearest, and adding +-0.0 to anything else is exact.
+// For the same reason writing C equals adding C onto a zeroed buffer.
+//
+// B is packed once per call into k-major panels kPanel columns wide (the
+// tail panel zero-padded); a kRows x kPanel tile of accumulators then walks
+// k, so the compiler vectorises across j without reordering any one
+// output's sum. Row blocks are the parallel axis; their boundaries do not
+// touch the arithmetic, so results are bitwise identical at any
+// GE_NUM_THREADS and for any operand strides.
 
-Tensor matmul(const Tensor& a, const Tensor& b) {
+namespace {
+
+constexpr int64_t kPanel = 8;
+constexpr int64_t kRows = 4;
+
+void check_gemm_shapes(const ConstTensorView& a, const ConstTensorView& b) {
   if (a.dim() != 2 || b.dim() != 2 || a.size(1) != b.size(0)) {
-    throw std::invalid_argument("matmul: bad shapes " +
+    throw std::invalid_argument("gemm: bad shapes " +
                                 shape_to_string(a.shape()) + " x " +
                                 shape_to_string(b.shape()));
   }
+}
+
+/// R rows of A (row stride sa_i, column stride sa_k) times one packed B
+/// panel; writes the first `width` columns of the R x kPanel tile to c.
+template <int64_t R>
+void gemm_tile(const float* a, int64_t sa_i, int64_t sa_k,
+               const float* panel, int64_t K, float* c, int64_t ldc,
+               int64_t width) {
+  float acc[R][kPanel] = {};
+  for (int64_t k = 0; k < K; ++k) {
+    const float* bk = panel + k * kPanel;
+    for (int64_t r = 0; r < R; ++r) {
+      const float av = a[r * sa_i + k * sa_k];
+      for (int64_t j = 0; j < kPanel; ++j) acc[r][j] += av * bk[j];
+    }
+  }
+  for (int64_t r = 0; r < R; ++r) {
+    std::copy(acc[r], acc[r] + width, c + r * ldc);
+  }
+}
+
+Tensor product(const ConstTensorView& a, const ConstTensorView& b) {
+  check_gemm_shapes(a, b);
+  Tensor out({a.size(0), b.size(1)});
+  gemm(a, b, out.data(), b.size(1));
+  return out;
+}
+
+}  // namespace
+
+void gemm(const ConstTensorView& a, const ConstTensorView& b, float* c,
+          int64_t ldc) {
+  check_gemm_shapes(a, b);
   const int64_t M = a.size(0), K = a.size(1), N = b.size(1);
-  Tensor out({M, N});
-  const float* pa = a.cdata();
-  const float* pb = b.cdata();
-  float* po = out.data();
-  // ikj loop order: unit-stride inner loops on both B and C.
+  if (ldc < N) throw std::invalid_argument("gemm: ldc below N");
+  if (M == 0 || N == 0) return;
+
+  const int64_t panels = (N + kPanel - 1) / kPanel;
+  Tensor packed({panels * K * kPanel});
+  float* pp = packed.data();
+  const float* pb = b.storage() + b.offset();
+  const int64_t sb_k = b.strides()[0], sb_j = b.strides()[1];
+  for (int64_t p = 0; p < panels; ++p) {
+    const int64_t j0 = p * kPanel, width = std::min(kPanel, N - j0);
+    float* dst = pp + p * K * kPanel;
+    for (int64_t k = 0; k < K; ++k) {
+      for (int64_t j = 0; j < width; ++j) {
+        dst[k * kPanel + j] = pb[k * sb_k + (j0 + j) * sb_j];
+      }
+    }
+  }
+
+  const float* pa = a.storage() + a.offset();
+  const int64_t sa_i = a.strides()[0], sa_k = a.strides()[1];
   parallel::parallel_for(
-      0, M, parallel::grain_for(K * N), [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          float* crow = po + i * N;
-          for (int64_t k = 0; k < K; ++k) {
-            const float aval = pa[i * K + k];
-            if (aval == 0.0f) continue;
-            const float* brow = pb + k * N;
-            for (int64_t j = 0; j < N; ++j) crow[j] += aval * brow[j];
+      0, (M + kRows - 1) / kRows, parallel::grain_for(kRows * K * N),
+      [&](int64_t lo, int64_t hi) {
+        const int64_t i_end = std::min(M, hi * kRows);
+        for (int64_t p = 0; p < panels; ++p) {
+          const float* panel = pp + p * K * kPanel;
+          const int64_t j0 = p * kPanel, width = std::min(kPanel, N - j0);
+          int64_t i = lo * kRows;
+          for (; i + kRows <= i_end; i += kRows) {
+            gemm_tile<kRows>(pa + i * sa_i, sa_i, sa_k, panel, K,
+                             c + i * ldc + j0, ldc, width);
+          }
+          for (; i < i_end; ++i) {
+            gemm_tile<1>(pa + i * sa_i, sa_i, sa_k, panel, K,
+                         c + i * ldc + j0, ldc, width);
           }
         }
       });
-  return out;
+}
+
+Tensor matmul(const Tensor& a, const Tensor& b) {
+  return product(ConstTensorView(a), ConstTensorView(b));
 }
 
 Tensor matmul_bt(const Tensor& a, const Tensor& b_t) {
-  if (a.dim() != 2 || b_t.dim() != 2 || a.size(1) != b_t.size(1)) {
-    throw std::invalid_argument("matmul_bt: bad shapes " +
-                                shape_to_string(a.shape()) + " x " +
-                                shape_to_string(b_t.shape()) + "^T");
-  }
-  const int64_t M = a.size(0), K = a.size(1), N = b_t.size(0);
-  Tensor out({M, N});
-  const float* pa = a.cdata();
-  const float* pb = b_t.cdata();
-  float* po = out.data();
-  parallel::parallel_for(
-      0, M, parallel::grain_for(K * N), [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const float* arow = pa + i * K;
-          for (int64_t j = 0; j < N; ++j) {
-            const float* brow = pb + j * K;
-            float acc = 0.0f;  // FP32 MAC, ascending k (see policy above)
-            for (int64_t k = 0; k < K; ++k) acc += arow[k] * brow[k];
-            po[i * N + j] = acc;
-          }
-        }
-      });
-  return out;
-}
-
-Tensor matmul_at(const Tensor& a_t, const Tensor& b) {
-  if (a_t.dim() != 2 || b.dim() != 2 || a_t.size(0) != b.size(0)) {
-    throw std::invalid_argument("matmul_at: bad shapes " +
-                                shape_to_string(a_t.shape()) + "^T x " +
-                                shape_to_string(b.shape()));
-  }
-  const int64_t K = a_t.size(0), M = a_t.size(1), N = b.size(1);
-  Tensor out({M, N});
-  const float* pa = a_t.cdata();
-  const float* pb = b.cdata();
-  float* po = out.data();
-  // Row-parallel: each output row i accumulates over k independently (A
-  // reads are strided, but rows stay disjoint and the k-order is the same
-  // FP32 MAC sequence as the other variants).
-  parallel::parallel_for(
-      0, M, parallel::grain_for(K * N), [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          float* crow = po + i * N;
-          for (int64_t k = 0; k < K; ++k) {
-            const float aval = pa[k * M + i];
-            if (aval == 0.0f) continue;
-            const float* brow = pb + k * N;
-            for (int64_t j = 0; j < N; ++j) crow[j] += aval * brow[j];
-          }
-        }
-      });
-  return out;
-}
-
-Tensor transpose2d(const Tensor& a) {
-  if (a.dim() != 2) throw std::invalid_argument("transpose2d: need rank 2");
-  const int64_t M = a.size(0), N = a.size(1);
-  Tensor out({N, M});
-  const float* pa = a.cdata();
-  float* po = out.data();
-  for (int64_t i = 0; i < M; ++i) {
-    for (int64_t j = 0; j < N; ++j) po[j * M + i] = pa[i * N + j];
-  }
-  return out;
+  return product(ConstTensorView(a), ConstTensorView(b_t).transposed());
 }
 
 Tensor softmax_lastdim(const Tensor& a) {

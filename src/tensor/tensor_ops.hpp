@@ -1,68 +1,48 @@
 // Free-function kernels over Tensor — the arithmetic substrate the NN
 // framework is built from. All kernels are pure (inputs by const ref, new
-// tensor out) except the explicitly `_inplace` variants used on hot paths.
+// tensor out) except the explicitly `_inplace` variants used on hot paths
+// and `gemm`, which writes into caller storage.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
+#include <vector>
 
 #include "tensor/tensor.hpp"
 #include "tensor/tensor_view.hpp"
 
 namespace ge::ops {
 
-/// --- elementwise binary (shapes must match exactly) ---------------------
+/// --- elementwise ----------------------------------------------------------
+/// Shapes must match exactly.
 Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
-Tensor mul(const Tensor& a, const Tensor& b);
-Tensor div(const Tensor& a, const Tensor& b);
 void add_inplace(Tensor& a, const Tensor& b);
-
-/// --- elementwise with scalar --------------------------------------------
-Tensor add_scalar(const Tensor& a, float s);
-Tensor mul_scalar(const Tensor& a, float s);
 void mul_scalar_inplace(Tensor& a, float s);
 
-/// --- elementwise unary ---------------------------------------------------
-Tensor neg(const Tensor& a);
-Tensor exp(const Tensor& a);
-Tensor abs(const Tensor& a);
-Tensor sqrt(const Tensor& a);
-Tensor tanh(const Tensor& a);
-Tensor clamp(const Tensor& a, float lo, float hi);
-/// Apply an arbitrary scalar function elementwise (slow path; used by the
-/// scalar number-format API and in tests).
-Tensor map(const Tensor& a, const std::function<float(float)>& f);
-void map_inplace(Tensor& a, const std::function<float(float)>& f);
-
 /// --- reductions -----------------------------------------------------------
-float sum(const Tensor& a);
-float mean(const Tensor& a);
 float max_abs(const Tensor& a);
-/// Strided-view reductions: same element-order combine as the dense
-/// kernels, so a view and its materialized copy reduce bitwise equally.
-float sum(const ConstTensorView& v);
+/// Strided-view reduction: the same element-order combine as the dense
+/// kernel, so a view and its materialized copy reduce bitwise equally.
 float max_abs(const ConstTensorView& v);
-/// Strided elementwise map, in place through a mutable view (the COW
-/// detach fires once, before the parallel loop). Elements outside the
-/// view are untouched.
-void map_view_inplace(TensorView& v, const std::function<float(float)>& f);
 float min_value(const Tensor& a);
 float max_value(const Tensor& a);
 /// Row-wise argmax over the last dimension; returns indices, one per row.
 std::vector<int64_t> argmax_rows(const Tensor& a);
 
 /// --- linear algebra --------------------------------------------------------
-/// 2-D matrix product: (M,K) x (K,N) -> (M,N).
+/// The one FP32 GEMM: A (M,K) x B (K,N) written to c[i * ldc + j] for
+/// 2-D strided views A and B (a transpose is a view with swapped strides,
+/// an attention head a view with a wide row stride) and ldc >= N. Every
+/// output is one FP32 accumulator that starts at +0.0 and adds
+/// a[i,k] * b[k,j] in ascending k with no zero skip, so the result depends
+/// only on the logical product — never on strides, tiling or threads.
+/// C must not overlap A or B.
+void gemm(const ConstTensorView& a, const ConstTensorView& b, float* c,
+          int64_t ldc);
+/// Dense (M,K) x (K,N) -> (M,N).
 Tensor matmul(const Tensor& a, const Tensor& b);
-/// 2-D product with the *second* operand transposed: (M,K) x (N,K)^T -> (M,N).
-/// Row-major friendly; this is the kernel Linear layers use.
+/// Dense (M,K) x (N,K)^T -> (M,N): the Linear-layer product.
 Tensor matmul_bt(const Tensor& a, const Tensor& b_t);
-/// 2-D product with the *first* operand transposed: (K,M)^T x (K,N) -> (M,N).
-Tensor matmul_at(const Tensor& a_t, const Tensor& b);
-/// 2-D transpose.
-Tensor transpose2d(const Tensor& a);
 
 /// --- softmax family ---------------------------------------------------------
 /// Numerically-stable softmax over the last dimension.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace ge {
 
@@ -139,6 +140,17 @@ int64_t ConstTensorView::size(int64_t d) const {
 int64_t ConstTensorView::flat_offset(int64_t i) const {
   if (contiguous_) return offset_ + i;
   return offset_ + unravel_dot(i, shape_, strides_);
+}
+
+ConstTensorView ConstTensorView::transposed() const {
+  if (dim() != 2) {
+    throw std::invalid_argument("ConstTensorView::transposed: need rank 2");
+  }
+  ConstTensorView t = *this;
+  std::swap(t.shape_[0], t.shape_[1]);
+  std::swap(t.strides_[0], t.strides_[1]);
+  t.contiguous_ = is_dense(t.shape_, t.strides_);
+  return t;
 }
 
 Tensor ConstTensorView::materialize() const {

@@ -59,6 +59,10 @@ class ConstTensorView {
   const float* storage() const noexcept { return base_; }
   float operator[](int64_t i) const { return base_[flat_offset(i)]; }
 
+  /// The rank-2 view with its two extents and strides swapped (no copy).
+  /// Throws std::invalid_argument on any other rank.
+  ConstTensorView transposed() const;
+
   /// Gather the view into a dense Tensor of shape().
   Tensor materialize() const;
   /// Gather into caller storage (numel() floats, row-major view order).

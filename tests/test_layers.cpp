@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/activation.hpp"
 #include "nn/attention.hpp"
@@ -18,6 +19,19 @@
 
 namespace ge::nn {
 namespace {
+
+/// Test-side elementwise helpers (the library keeps only what layers use).
+float mean(const Tensor& t) {
+  double s = 0.0;
+  for (float v : t.flat()) s += v;
+  return static_cast<float>(s / static_cast<double>(t.numel()));
+}
+
+Tensor scaled(const Tensor& a, float s) {
+  Tensor out = a;
+  ops::mul_scalar_inplace(out, s);
+  return out;
+}
 
 TEST(Linear, ComputesAffineMap) {
   Rng rng(1);
@@ -68,6 +82,65 @@ TEST(Conv2d, StrideAndChannels) {
   Conv2d conv(3, 8, 3, 2, 1, rng);
   Tensor y = conv(Tensor({2, 3, 16, 16}));
   EXPECT_EQ(y.shape(), (Shape{2, 8, 8, 8}));
+}
+
+TEST(Conv2d, ForwardMatchesAscendingTapReferenceBitwise) {
+  // Every Conv2d forward is im2col plus the one GEMM: one FP32 accumulator
+  // per output over taps in ascending (c, kh, kw) — padding taps included
+  // as 0.0f — then + bias. Train mode runs the same kernel as eval.
+  struct Geometry {
+    int64_t c, oc, kernel, stride, pad, h;
+  };
+  const Geometry geometries[] = {
+      {3, 5, 3, 1, 1, 7},  // padded 3x3, stride 1
+      {3, 6, 4, 4, 0, 8},  // PatchEmbed: unpadded 4x4, stride 4
+      {4, 7, 1, 2, 0, 7},  // 1x1, stride 2 (residual projection)
+  };
+  for (const Geometry& g : geometries) {
+    Rng rng(50 + g.kernel);
+    Conv2d conv(g.c, g.oc, g.kernel, g.stride, g.pad, rng);
+    conv.bias()->value = rng.normal_tensor({g.oc});
+    const Tensor x = rng.normal_tensor({2, g.c, g.h, g.h});
+    const ops::Conv2dSpec& s = conv.spec();
+    const int64_t OH = s.out_h(g.h), OW = s.out_w(g.h);
+    const Tensor& w = conv.weight().value;
+    const Tensor& bias = conv.bias()->value;
+    Tensor ref({2, g.oc, OH, OW});
+    for (int64_t n = 0; n < 2; ++n) {
+      for (int64_t oc = 0; oc < g.oc; ++oc) {
+        for (int64_t oh = 0; oh < OH; ++oh) {
+          for (int64_t ow = 0; ow < OW; ++ow) {
+            float acc = 0.0f;
+            for (int64_t c = 0; c < g.c; ++c) {
+              for (int64_t kh = 0; kh < g.kernel; ++kh) {
+                for (int64_t kw = 0; kw < g.kernel; ++kw) {
+                  const int64_t ih = oh * g.stride - g.pad + kh;
+                  const int64_t iw = ow * g.stride - g.pad + kw;
+                  const bool in = ih >= 0 && ih < g.h && iw >= 0 && iw < g.h;
+                  const float xv = in ? x.at({n, c, ih, iw}) : 0.0f;
+                  acc += xv * w.at({oc, c, kh, kw});
+                }
+              }
+            }
+            ref.at({n, oc, oh, ow}) = acc + bias[oc];
+          }
+        }
+      }
+    }
+    conv.eval();
+    const Tensor eval_y = conv(x);
+    ASSERT_EQ(eval_y.shape(), ref.shape());
+    EXPECT_EQ(std::memcmp(eval_y.cdata(), ref.cdata(),
+                          sizeof(float) * static_cast<size_t>(ref.numel())),
+              0)
+        << "kernel " << g.kernel << " stride " << g.stride;
+    conv.train(true);
+    const Tensor train_y = conv(x);
+    EXPECT_EQ(std::memcmp(train_y.cdata(), eval_y.cdata(),
+                          sizeof(float) * static_cast<size_t>(ref.numel())),
+              0)
+        << "kernel " << g.kernel << " stride " << g.stride;
+  }
 }
 
 TEST(Conv2d, RejectsWrongChannelCount) {
@@ -126,7 +199,7 @@ TEST(Dropout, TrainingDropsAndRescales) {
   }
   // ~50% dropped; mean preserved by the 1/(1-p) rescale
   EXPECT_NEAR(double(zeros) / 10000.0, 0.5, 0.05);
-  EXPECT_NEAR(ops::mean(y), 1.0f, 0.05f);
+  EXPECT_NEAR(mean(y), 1.0f, 0.05f);
 }
 
 TEST(Dropout, RejectsBadProbability) {
@@ -168,7 +241,7 @@ TEST(BatchNorm, TrainingNormalisesBatch) {
   Rng rng(9);
   Tensor x = rng.normal_tensor({4, 1, 8, 8}, 5.0f, 3.0f);
   Tensor y = bn(x);
-  EXPECT_NEAR(ops::mean(y), 0.0f, 1e-4f);
+  EXPECT_NEAR(mean(y), 0.0f, 1e-4f);
   double var = 0.0;
   for (float v : y.flat()) var += double(v) * v;
   var /= y.numel();
@@ -184,7 +257,7 @@ TEST(BatchNorm, RunningStatsConvergeTowardBatchStats) {
   bn.eval();
   Tensor y = bn(x);
   // after convergence, eval output ≈ training output (batch ≈ running)
-  EXPECT_NEAR(ops::mean(y), 0.0f, 0.05f);
+  EXPECT_NEAR(mean(y), 0.0f, 0.05f);
 }
 
 TEST(LayerNorm, NormalisesEachRow) {
@@ -318,12 +391,12 @@ TEST(Optim, AdamReducesQuadraticLoss) {
   for (int it = 0; it < 600; ++it) {
     opt.zero_grad();
     Tensor y = lin(x);
-    Tensor diff = ops::sub(y, target);
+    Tensor diff = ops::add(y, scaled(target, -1.0f));
     float loss = 0.0f;
     for (float v : diff.flat()) loss += v * v;
     if (it == 0) first_loss = loss;
     last_loss = loss;
-    (void)lin.backward(ops::mul_scalar(diff, 2.0f));
+    (void)lin.backward(scaled(diff, 2.0f));
     opt.step();
   }
   EXPECT_LT(last_loss, first_loss * 0.2f);

@@ -1,8 +1,10 @@
-// Kernel correctness: matmul family vs brute-force reference, im2col /
+// Kernel correctness: the GEMM vs brute-force references, im2col /
 // col2im adjointness, pooling, softmax properties, reductions.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -23,18 +25,27 @@ Tensor naive_matmul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-TEST(Elementwise, AddSubMulDiv) {
+/// a * s elementwise (test-side helper).
+Tensor scaled(const Tensor& a, float s) {
+  Tensor out = a;
+  ops::mul_scalar_inplace(out, s);
+  return out;
+}
+
+/// Dense row-major transpose of a rank-2 tensor.
+Tensor transposed_copy(const Tensor& a) {
+  return ConstTensorView(a).transposed().materialize();
+}
+
+TEST(Elementwise, Add) {
   Tensor a({3}, {1, 2, 3});
   Tensor b({3}, {4, 5, 6});
   EXPECT_TRUE(ops::add(a, b).equals(Tensor({3}, {5, 7, 9})));
-  EXPECT_TRUE(ops::sub(a, b).equals(Tensor({3}, {-3, -3, -3})));
-  EXPECT_TRUE(ops::mul(a, b).equals(Tensor({3}, {4, 10, 18})));
-  EXPECT_TRUE(ops::div(b, a).allclose(Tensor({3}, {4, 2.5f, 2})));
 }
 
 TEST(Elementwise, ShapeMismatchThrows) {
   EXPECT_THROW(ops::add(Tensor({2}), Tensor({3})), std::invalid_argument);
-  EXPECT_THROW(ops::mul(Tensor({2, 1}), Tensor({2})), std::invalid_argument);
+  EXPECT_THROW(ops::add(Tensor({2, 1}), Tensor({2})), std::invalid_argument);
 }
 
 TEST(Elementwise, InplaceVariants) {
@@ -45,30 +56,8 @@ TEST(Elementwise, InplaceVariants) {
   EXPECT_TRUE(a.equals(Tensor({2}, {5.5f, 11})));
 }
 
-TEST(Elementwise, ScalarAndUnary) {
-  Tensor a({2}, {-1, 4});
-  EXPECT_TRUE(ops::add_scalar(a, 1).equals(Tensor({2}, {0, 5})));
-  EXPECT_TRUE(ops::mul_scalar(a, -2).equals(Tensor({2}, {2, -8})));
-  EXPECT_TRUE(ops::neg(a).equals(Tensor({2}, {1, -4})));
-  EXPECT_TRUE(ops::abs(a).equals(Tensor({2}, {1, 4})));
-  EXPECT_TRUE(ops::clamp(a, -0.5f, 2.0f).equals(Tensor({2}, {-0.5f, 2})));
-  EXPECT_NEAR(ops::sqrt(Tensor({1}, {9}))[0], 3.0f, 1e-6f);
-  EXPECT_NEAR(ops::exp(Tensor({1}, {0}))[0], 1.0f, 1e-6f);
-  EXPECT_NEAR(ops::tanh(Tensor({1}, {0}))[0], 0.0f, 1e-6f);
-}
-
-TEST(Elementwise, MapAppliesFunction) {
-  Tensor a({3}, {1, 2, 3});
-  Tensor r = ops::map(a, [](float x) { return x * x; });
-  EXPECT_TRUE(r.equals(Tensor({3}, {1, 4, 9})));
-  ops::map_inplace(a, [](float x) { return -x; });
-  EXPECT_TRUE(a.equals(Tensor({3}, {-1, -2, -3})));
-}
-
-TEST(Reductions, SumMeanMinMax) {
+TEST(Reductions, MinMaxMaxAbs) {
   Tensor a({4}, {1, -2, 3, 6});
-  EXPECT_NEAR(ops::sum(a), 8.0f, 1e-6f);
-  EXPECT_NEAR(ops::mean(a), 2.0f, 1e-6f);
   EXPECT_EQ(ops::min_value(a), -2.0f);
   EXPECT_EQ(ops::max_value(a), 6.0f);
   EXPECT_EQ(ops::max_abs(a), 6.0f);
@@ -76,7 +65,6 @@ TEST(Reductions, SumMeanMinMax) {
 
 TEST(Reductions, EmptyTensorThrows) {
   Tensor empty({0});
-  EXPECT_THROW(ops::mean(empty), std::invalid_argument);
   EXPECT_THROW(ops::min_value(empty), std::invalid_argument);
 }
 
@@ -95,49 +83,115 @@ TEST(Matmul, MatchesNaiveReference) {
   EXPECT_TRUE(ops::matmul(a, b).allclose(naive_matmul(a, b), 1e-4f));
 }
 
-TEST(Matmul, BtVariantMatches) {
-  Rng rng(4);
-  Tensor a = rng.normal_tensor({6, 8});
-  Tensor bt = rng.normal_tensor({5, 8});  // b = bt^T : (8, 5)
-  Tensor b = ops::transpose2d(bt);
-  EXPECT_TRUE(ops::matmul_bt(a, bt).allclose(naive_matmul(a, b), 1e-4f));
-}
-
-TEST(Matmul, AtVariantMatches) {
-  Rng rng(5);
-  Tensor at = rng.normal_tensor({8, 6});  // a = at^T : (6, 8)
-  Tensor b = rng.normal_tensor({8, 5});
-  Tensor a = ops::transpose2d(at);
-  EXPECT_TRUE(ops::matmul_at(at, b).allclose(naive_matmul(a, b), 1e-4f));
-}
-
-TEST(Matmul, VariantsAgreeBitwise) {
-  // All three variants share one accumulation policy (FP32 MAC, ascending
-  // k), so expressing the same product through any of them must be exactly
-  // equal — not merely allclose.
-  Rng rng(7);
-  Tensor a = rng.normal_tensor({9, 13});
-  Tensor b = rng.normal_tensor({13, 11});
-  const Tensor ref = ops::matmul(a, b);
-  EXPECT_TRUE(ops::matmul_bt(a, ops::transpose2d(b)).equals(ref));
-  EXPECT_TRUE(ops::matmul_at(ops::transpose2d(a), b).equals(ref));
-}
-
 TEST(Matmul, ShapeErrors) {
   EXPECT_THROW(ops::matmul(Tensor({2, 3}), Tensor({4, 2})),
                std::invalid_argument);
   EXPECT_THROW(ops::matmul_bt(Tensor({2, 3}), Tensor({4, 2})),
                std::invalid_argument);
-  EXPECT_THROW(ops::matmul_at(Tensor({2, 3}), Tensor({4, 2})),
-               std::invalid_argument);
   EXPECT_THROW(ops::matmul(Tensor({2}), Tensor({2, 2})),
                std::invalid_argument);
+  float c[4];
+  const Tensor a({2, 3}), b({3, 2});
+  EXPECT_THROW(ops::gemm(ConstTensorView(a), ConstTensorView(b), c, 1),
+               std::invalid_argument);  // ldc below N
 }
 
-TEST(Transpose, RoundTripIsIdentity) {
-  Rng rng(6);
-  Tensor a = rng.normal_tensor({4, 7});
-  EXPECT_TRUE(ops::transpose2d(ops::transpose2d(a)).equals(a));
+/// The four operand layouts the GEMM sees in the layers: dense, A stored
+/// transposed, B stored transposed, and head slices (row stride above the
+/// column count, non-zero offset, as attention reads q/k/v).
+enum class Layout { kDense, kATransposed, kBTransposed, kHeadSlice };
+
+/// A (rows, cols) view of the logical matrix `m` (the view pins its
+/// storage). `transposed` stores m^T and views it back; `slice` embeds m
+/// at column offset 2 of a wider matrix.
+ConstTensorView layout_operand(const Tensor& m, bool transposed, bool slice) {
+  const int64_t rows = m.size(0), cols = m.size(1);
+  if (transposed) return ConstTensorView(transposed_copy(m)).transposed();
+  if (slice) {
+    const int64_t wide = cols + 5;
+    Tensor t = Tensor::full({rows, wide}, 99.0f);
+    for (int64_t i = 0; i < rows; ++i) {
+      for (int64_t j = 0; j < cols; ++j) t[i * wide + 2 + j] = m[i * cols + j];
+    }
+    return ConstTensorView(t, 2, {rows, cols}, {wide, 1});
+  }
+  return ConstTensorView(m);
+}
+
+/// Runs the GEMM on `a` x `b` laid out as `layout`, into a C of row stride
+/// `ldc` pre-filled with a sentinel; returns C.
+Tensor run_gemm(const Tensor& a, const Tensor& b, Layout layout,
+                int64_t ldc) {
+  Tensor c = Tensor::full({a.size(0), ldc}, -7.0f);
+  ops::gemm(layout_operand(a, layout == Layout::kATransposed,
+                           layout == Layout::kHeadSlice),
+            layout_operand(b, layout == Layout::kBTransposed,
+                           layout == Layout::kHeadSlice),
+            c.data(), ldc);
+  return c;
+}
+
+constexpr Layout kLayouts[] = {Layout::kDense, Layout::kATransposed,
+                               Layout::kBTransposed, Layout::kHeadSlice};
+
+TEST(Gemm, MatchesAscendingKReferenceBitwise) {
+  // (M, K, N): a 1 in each position, N = 7 and 9 around the 8-wide B
+  // panel, M = 3 and 5 around the 4-row register tile, K = 0 (all +0.0),
+  // and one product large enough to split into several parallel chunks.
+  const int64_t shapes[][3] = {{1, 1, 1},    {1, 5, 9},   {6, 1, 7},
+                               {5, 9, 1},    {3, 13, 8},  {9, 13, 11},
+                               {17, 12, 17}, {33, 20, 9}, {4, 0, 3},
+                               {130, 40, 70}};
+  Rng rng(7);
+  for (const auto& s : shapes) {
+    const int64_t M = s[0], K = s[1], N = s[2];
+    const Tensor a = rng.normal_tensor({M, K});
+    const Tensor b = rng.normal_tensor({K, N});
+    // One FP32 accumulator from +0.0, ascending k, no skipped terms.
+    std::vector<float> ref(static_cast<size_t>(M * N));
+    for (int64_t i = 0; i < M; ++i) {
+      for (int64_t j = 0; j < N; ++j) {
+        float acc = 0.0f;
+        for (int64_t k = 0; k < K; ++k) acc += a[i * K + k] * b[k * N + j];
+        ref[static_cast<size_t>(i * N + j)] = acc;
+      }
+    }
+    for (const Layout layout : kLayouts) {
+      for (const int64_t ldc : {N, N + 3}) {
+        const Tensor c = run_gemm(a, b, layout, ldc);
+        for (int64_t i = 0; i < M; ++i) {
+          EXPECT_EQ(std::memcmp(c.cdata() + i * ldc, ref.data() + i * N,
+                                sizeof(float) * static_cast<size_t>(N)),
+                    0)
+              << "M=" << M << " K=" << K << " N=" << N << " row " << i
+              << " layout " << static_cast<int>(layout) << " ldc " << ldc;
+          for (int64_t j = N; j < ldc; ++j) {
+            EXPECT_EQ(c[i * ldc + j], -7.0f) << "wrote past N";
+          }
+        }
+      }
+    }
+    // The dense entry points run the same kernel.
+    const Tensor mm = ops::matmul(a, b);
+    const Tensor bt = ops::matmul_bt(a, transposed_copy(b));
+    EXPECT_EQ(std::memcmp(mm.cdata(), ref.data(), sizeof(float) * ref.size()),
+              0);
+    EXPECT_EQ(std::memcmp(bt.cdata(), ref.data(), sizeof(float) * ref.size()),
+              0);
+  }
+}
+
+TEST(Gemm, ZeroTimesInfIsNaN) {
+  // [0, 1] . [Inf, 2]^T = 0*Inf + 1*2 = NaN on IEEE hardware; no operand
+  // layout may skip the zero term.
+  const Tensor a({1, 2}, {0.0f, 1.0f});
+  const Tensor b({2, 1}, {std::numeric_limits<float>::infinity(), 2.0f});
+  for (const Layout layout : kLayouts) {
+    EXPECT_TRUE(std::isnan(run_gemm(a, b, layout, 1)[0]))
+        << "layout " << static_cast<int>(layout);
+  }
+  EXPECT_TRUE(std::isnan(ops::matmul(a, b)[0]));
+  EXPECT_TRUE(std::isnan(ops::matmul_bt(a, transposed_copy(b))[0]));
 }
 
 TEST(Softmax, RowsSumToOne) {
@@ -238,10 +292,10 @@ TEST(Conv, Im2colIsLinear) {
   ops::Conv2dSpec s;
   s.kernel_h = s.kernel_w = 3;
   s.pad_h = s.pad_w = 1;
-  Tensor lhs = ops::im2col(
-      ops::add(ops::mul_scalar(x, 2.0f), ops::mul_scalar(y, -3.0f)), s);
-  Tensor rhs = ops::add(ops::mul_scalar(ops::im2col(x, s), 2.0f),
-                        ops::mul_scalar(ops::im2col(y, s), -3.0f));
+  Tensor lhs =
+      ops::im2col(ops::add(scaled(x, 2.0f), scaled(y, -3.0f)), s);
+  Tensor rhs = ops::add(scaled(ops::im2col(x, s), 2.0f),
+                        scaled(ops::im2col(y, s), -3.0f));
   EXPECT_TRUE(lhs.allclose(rhs, 1e-4f));
 }
 
@@ -255,19 +309,10 @@ TEST(Matmul, DistributesOverAddition) {
   EXPECT_TRUE(lhs.allclose(rhs, 1e-3f));
 }
 
-TEST(Matmul, TransposeVariantsAgreeWithExplicitTranspose) {
-  Rng rng(42);
-  Tensor a = rng.normal_tensor({5, 7});
-  Tensor b = rng.normal_tensor({7, 4});
-  const Tensor ref = ops::matmul(a, b);
-  EXPECT_TRUE(ops::matmul_bt(a, ops::transpose2d(b)).allclose(ref, 1e-4f));
-  EXPECT_TRUE(ops::matmul_at(ops::transpose2d(a), b).allclose(ref, 1e-4f));
-}
-
 TEST(Softmax, InvariantToRowShift) {
   Rng rng(43);
   Tensor a = rng.normal_tensor({3, 8});
-  Tensor shifted = ops::add_scalar(a, 42.0f);
+  Tensor shifted = ops::add(a, Tensor::full(a.shape(), 42.0f));
   EXPECT_TRUE(ops::softmax_lastdim(a).allclose(
       ops::softmax_lastdim(shifted), 1e-5f));
 }

@@ -74,6 +74,13 @@ TEST(ViewGeometry, ContiguousAndDenseFullDetection) {
   Tensor t = filled(24, 2);
   EXPECT_TRUE(ConstTensorView(t, 4, {2, 5}, {5, 1}).contiguous());
   EXPECT_FALSE(ConstTensorView(t, 4, {2, 5}, {10, 1}).contiguous());
+  // A transpose swaps extents and strides: (5, 2) with strides (1, 5).
+  const ConstTensorView rows(t, 4, {2, 5}, {5, 1});
+  EXPECT_EQ(rows.transposed().shape(), (Shape{5, 2}));
+  EXPECT_EQ(rows.transposed()[1], rows[5]);
+  EXPECT_FALSE(rows.transposed().contiguous());
+  EXPECT_TRUE(rows.transposed().transposed().contiguous());
+  EXPECT_THROW(ConstTensorView(t).transposed(), std::invalid_argument);
 
   TensorView whole(t);
   EXPECT_TRUE(whole.dense_full());
