@@ -6,10 +6,14 @@
 // INT8, BFP e8m7 b16, AFP e4m3 — each plain, with a random single-bit
 // value EI, and (for INT/BFP/AFP) with a metadata EI.
 //
-// Expected shape (paper): native fastest; FP/FxP/INT emulation close to
-// native (tensorised fused path); BFP/AFP several times slower (block /
-// metadata-materialising path, the paper's Python-path analogue); EI adds
-// negligible overhead because the scalar routine runs once per inference.
+// Expected shape (paper): native fastest; emulation adds one quantise pass
+// per layer; EI adds negligible overhead because the scalar routine runs
+// once per inference. The paper's BFP/AFP were several times slower
+// because they ran in Python; here every format rounds with the same
+// integer kernel (src/formats/rne.hpp), so the measured order follows the
+// per-tensor work: emulated FP32 (the identity) at native, then the
+// value-only formats (FP16/bfloat16, FxP), then the metadata formats (AFP,
+// INT8, BFP), all within about 1.4x of native (EXPERIMENTS.md).
 #include <benchmark/benchmark.h>
 
 #include <memory>

@@ -33,28 +33,14 @@ AfpFormat::AfpFormat(int exp_bits, int man_bits, Options opt)
   }
 }
 
-float AfpFormat::quantize_value(float x) const {
-  if (std::isnan(x)) return x;
-  const float sign = std::signbit(x) ? -1.0f : 1.0f;
-  const float ax = std::fabs(x);
-  const float mx = static_cast<float>(abs_max());
-  if (std::isinf(x)) return sign * mx;  // AFP has no Inf: saturate
-  if (ax == 0.0f) return sign * 0.0f;
+RneGrid AfpFormat::grid() const {
+  // AFP has no Inf: overflow and Inf inputs saturate at the moved abs_max.
+  return RneGrid::floating(man_bits_, e_min(), opt_.denormals, abs_max(),
+                           /*saturate=*/true);
+}
 
-  int e_unb = floor_log2(ax);
-  if (e_unb < e_min()) {
-    if (opt_.denormals) {
-      const float step = pow2f(e_min() - man_bits_);
-      return sign * round_to_step(ax, step);
-    }
-    const float min_normal = pow2f(e_min());
-    return (ax > min_normal * 0.5f) ? sign * min_normal : sign * 0.0f;
-  }
-  const float step = pow2f(e_unb - man_bits_);
-  float q = round_to_step(ax, step);
-  if (q >= pow2f(e_unb + 1)) e_unb += 1;
-  if (e_unb > e_max() || q > mx) return sign * mx;  // saturate
-  return sign * q;
+float AfpFormat::quantize_value(float x) const {
+  return rne_quantize(x, grid());
 }
 
 Tensor AfpFormat::real_to_format_tensor(const Tensor& t) {
@@ -74,18 +60,23 @@ void AfpFormat::quantize_tensor_inplace(Tensor& t) {
                               kOffsetMin, kOffsetMax);
   }
   // Persistent-register fault replay needs the pre-quantisation values, so
-  // AFP always captures them (capacity reused across captures); the same
-  // buffer doubles as the `before` image for record_quantization.
+  // AFP always captures them (capacity reused across captures), inside the
+  // element loop; the same buffer doubles as the `before` image for
+  // record_quantization.
   const int64_t n = t.numel();
   last_shape_ = t.shape();
-  const float* cp = t.cdata();
-  last_vals_.assign(cp, cp + n);
+  last_vals_.resize(static_cast<size_t>(n));
+  float* before = last_vals_.data();
 
-  // Metadata (the bias offset) is fixed above in a serial pass; the element
-  // loop is then pure per-value work and chunks across threads.
+  // Metadata (the bias offset) is fixed above; the element loop is then
+  // pure per-value work on one grid and chunks across threads.
   float* p = t.data();
+  const RneGrid g = grid();
   parallel::parallel_for(0, n, 4096, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) p[i] = quantize_value(p[i]);
+    for (int64_t i = lo; i < hi; ++i) {
+      before[i] = p[i];
+      p[i] = rne_quantize(p[i], g);
+    }
   });
   obs::record_quantization(last_vals_.data(), p, n, abs_max());
 }
@@ -189,8 +180,10 @@ Tensor AfpFormat::decode_last_tensor() const {
   Tensor out(last_shape_);
   const float* pin = last_vals_.data();
   float* po = out.data();
-  const int64_t n = out.numel();
-  for (int64_t i = 0; i < n; ++i) po[i] = quantize_value(pin[i]);
+  const RneGrid g = grid();
+  parallel::parallel_for(0, out.numel(), 4096, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) po[i] = rne_quantize(pin[i], g);
+  });
   return out;
 }
 

@@ -29,6 +29,7 @@
 #pragma once
 
 #include "formats/number_format.hpp"
+#include "formats/rne.hpp"
 
 namespace ge::fmt {
 
@@ -71,15 +72,20 @@ class AfpFormat : public NumberFormat {
   int exp_bias() const noexcept { return standard_bias_ + bias_offset_; }
   /// Register content (offset from the standard bias).
   int bias_offset() const noexcept { return bias_offset_; }
+  bool denormals() const noexcept { return opt_.denormals; }
 
   /// Register geometry: 5-bit two's complement offset.
   static constexpr int kOffsetBits = 5;
   static constexpr int kOffsetMin = -(1 << (kOffsetBits - 1));
   static constexpr int kOffsetMax = (1 << (kOffsetBits - 1)) - 1;
 
+  /// Quantise one value under the current bias (the integer RNE kernel of
+  /// rne.hpp on grid()).
   float quantize_value(float x) const;
 
  private:
+  /// The quantize grid of the current bias register, built once per pass.
+  RneGrid grid() const;
   int e_min() const noexcept { return 1 - exp_bias(); }
   int e_max() const noexcept {
     return ((1 << exp_bits_) - 2) - exp_bias();

@@ -1,15 +1,33 @@
 #include "formats/bfp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
+#include "formats/rne.hpp"
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace ge::fmt {
 
 namespace {
+// 2^k as a double, exact for the whole shared-exponent range of every BFP
+// geometry (|k| < 600). A code times 2^k is then exact in double, and the
+// one conversion to float rounds as ldexpf(code, k) would.
+double pow2d(int k) {
+  return std::bit_cast<double>(static_cast<uint64_t>(k + 1023) << 52);
+}
+
+// A NaN element comes out quieted with its payload and sign, and stores
+// INT32_MIN (x86's float-to-int result for NaN) as its code, bitwise as
+// the float-math reference in tests/format_oracle.hpp.
+constexpr int32_t kNanCode = std::numeric_limits<int32_t>::min();
+float quiet(float x) {
+  return std::bit_cast<float>(std::bit_cast<uint32_t>(x) | 0x00400000u);
+}
+
 std::string bfp_name(int e, int m, int64_t b) {
   return "bfp_e" + std::to_string(e) + "m" + std::to_string(m) + "_b" +
          (b == 0 ? std::string("tensor") : std::to_string(b));
@@ -42,7 +60,7 @@ int64_t BfpFormat::block_of(int64_t flat_index) const {
 }
 
 float BfpFormat::decode_code(int32_t signed_mag, int se) const {
-  return std::ldexp(static_cast<float>(signed_mag), se + 1 - man_bits_);
+  return static_cast<float>(signed_mag * pow2d(se + 1 - man_bits_));
 }
 
 Tensor BfpFormat::real_to_format_tensor(const Tensor& t) {
@@ -55,8 +73,9 @@ void BfpFormat::quantize_tensor_inplace(Tensor& t) {
   const int64_t n = t.numel();
   effective_block_ = (block_size_ == 0) ? n : block_size_;
   const int64_t nblocks = (n + effective_block_ - 1) / effective_block_;
-  shared_exp_.assign(static_cast<size_t>(nblocks), -bias_);
-  last_codes_.assign(static_cast<size_t>(n), 0);
+  // Every register and code is written by the block loop below.
+  shared_exp_.resize(static_cast<size_t>(nblocks));
+  last_codes_.resize(static_cast<size_t>(n));
   last_shape_ = t.shape();
 
   Tensor before;
@@ -64,7 +83,7 @@ void BfpFormat::quantize_tensor_inplace(Tensor& t) {
   float* p = t.data();
   const int se_min = -bias_;
   const int se_max = ((1 << exp_bits_) - 1) - bias_;
-  const auto max_mag = static_cast<float>((1 << man_bits_) - 1);
+  const auto max_mag = static_cast<double>((1 << man_bits_) - 1);
 
   // Blocks are independent: each owns one shared-exponent register and a
   // disjoint code/output slice, so the block loop is the parallel axis.
@@ -85,19 +104,25 @@ void BfpFormat::quantize_tensor_inplace(Tensor& t) {
             se = std::clamp(floor_log2(block_max), se_min, se_max);
           }
           shared_exp_[static_cast<size_t>(b)] = se;
-          // Pass 2: quantise each element against the shared exponent.
-          // Scaling uses ldexp, not 1/step: for deeply negative shared
-          // exponents (an all-zero block under a wide-e format)
-          // 2^-(se+1-m) overflows float and 0 * inf would poison the
-          // block with NaNs.
-          const int shift = se + 1 - man_bits_;
+          // Pass 2: round each element onto the block grid {k * 2^q},
+          // q = se + 1 - m, |k| <= 2^m - 1. The code is the exact quotient
+          // of the rounded value by 2^q (taken in double: 2^-q can exceed
+          // the float range for an all-zero block under a wide-e format).
+          const int q = se + 1 - man_bits_;
+          const double top = max_mag * pow2d(q);
+          const RneGrid g = RneGrid::fixed(q, top, top);
+          const double inv_quantum = pow2d(-q);
           for (int64_t i = lo; i < hi; ++i) {
             const float x = p[i];
-            float mag = std::nearbyintf(std::ldexp(std::fabs(x), -shift));
-            mag = std::min(mag, max_mag);
-            const float code = std::signbit(x) ? -mag : mag;
-            last_codes_[static_cast<size_t>(i)] = static_cast<int32_t>(code);
-            p[i] = std::ldexp(code, shift);
+            if (std::isnan(x)) {
+              last_codes_[static_cast<size_t>(i)] = kNanCode;
+              p[i] = quiet(x);
+              continue;
+            }
+            const float r = rne_quantize(x, g);
+            last_codes_[static_cast<size_t>(i)] =
+                static_cast<int32_t>(double(r) * inv_quantum);
+            p[i] = r;
           }
         }
       });
@@ -200,10 +225,20 @@ Tensor BfpFormat::decode_last_tensor() const {
   Tensor out(last_shape_);
   float* po = out.data();
   const int64_t n = out.numel();
-  for (int64_t i = 0; i < n; ++i) {
-    const int se = shared_exp_[static_cast<size_t>(i / effective_block_)];
-    po[i] = decode_code(last_codes_[static_cast<size_t>(i)], se);
-  }
+  const int64_t nblocks = num_blocks();
+  parallel::parallel_for(
+      0, nblocks, parallel::grain_for(effective_block_),
+      [&](int64_t blo, int64_t bhi) {
+        for (int64_t b = blo; b < bhi; ++b) {
+          const double quantum =
+              pow2d(shared_exp_[static_cast<size_t>(b)] + 1 - man_bits_);
+          const int64_t hi = std::min(n, (b + 1) * effective_block_);
+          for (int64_t i = b * effective_block_; i < hi; ++i) {
+            po[i] = static_cast<float>(last_codes_[static_cast<size_t>(i)] *
+                                       quantum);
+          }
+        }
+      });
   return out;
 }
 

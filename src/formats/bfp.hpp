@@ -10,9 +10,9 @@
 //   element value = sign * mag * 2^(se + 1 - m),  mag in [0, 2^m - 1]
 //   se = clamp(floor(log2 max|block|), -bias, bias + 1),  bias = 2^(e-1)-1
 //
-// Deliberately structured per-block implementation (not a fused
-// elementwise kernel): it materialises block metadata the way the paper's
-// Python BFP path does, which is why BFP shows the Fig. 3 slowdown.
+// Per block: one max-magnitude pass fixes the shared exponent, then every
+// element rounds onto the block grid with the shared integer kernel
+// (rne.hpp) and keeps its code for metadata re-decode.
 #pragma once
 
 #include "formats/number_format.hpp"

@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "obs/telemetry.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace ge::fmt {
 
@@ -32,46 +31,12 @@ FloatFormat::FloatFormat(int exp_bits, int man_bits, Options opt)
   if (man_bits < 1 || man_bits > 52) {
     throw std::invalid_argument("FloatFormat: man_bits must be in [1, 52]");
   }
+  grid_ = RneGrid::floating(man_bits_, e_min_, opt_.denormals, abs_max(),
+                            opt_.saturate_overflow);
 }
 
 float FloatFormat::quantize_value(float x) const {
-  if (std::isnan(x)) return x;
-  const float sign = std::signbit(x) ? -1.0f : 1.0f;
-  float ax = std::fabs(x);
-  const float mx = static_cast<float>(abs_max());
-  if (std::isinf(x) || ax > mx) {
-    // Overflow handling happens after rounding below; Inf handled here.
-    if (std::isinf(x)) {
-      return opt_.saturate_overflow
-                 ? sign * mx
-                 : x;
-    }
-  }
-  if (ax == 0.0f) return sign * 0.0f;
-
-  int e_unb = floor_log2(ax);
-  if (e_unb < e_min_) {
-    if (opt_.denormals) {
-      const float step = pow2f(e_min_ - man_bits_);
-      const float q = round_to_step(ax, step);
-      return sign * q;  // q may round up into the smallest normal; fine
-    }
-    // No denormals: nearest of {0, min_normal} with ties to zero (even).
-    const float min_normal = pow2f(e_min_);
-    return (ax > min_normal * 0.5f) ? sign * min_normal : sign * 0.0f;
-  }
-
-  float step = pow2f(e_unb - man_bits_);
-  float q = round_to_step(ax, step);
-  if (q >= pow2f(e_unb + 1)) e_unb += 1;  // rounding bumped the exponent
-  if (e_unb > e_max_) {
-    if (q > mx) {
-      return opt_.saturate_overflow
-                 ? sign * mx
-                 : sign * std::numeric_limits<float>::infinity();
-    }
-  }
-  return sign * q;
+  return rne_quantize(x, grid_);
 }
 
 Tensor FloatFormat::real_to_format_tensor(const Tensor& t) {
@@ -81,10 +46,15 @@ Tensor FloatFormat::real_to_format_tensor(const Tensor& t) {
 }
 
 void FloatFormat::quantize_tensor_inplace(Tensor& t) {
-  // Fast tensorised path: one fused in-place pass, no bitstring
-  // materialisation. Value-only format (no tensor-level metadata), so
-  // elements quantize independently and the loop chunks across threads.
-  elementwise_inplace(t, [this](float x) { return quantize_value(x); });
+  if (grid_.identity()) {
+    // fp_e8m23 and wider: every float32 is representable. Nothing to write
+    // (so no copy-on-write detach), but the elements still count.
+    obs::record_quantization(t.cdata(), t.cdata(), t.numel(), abs_max());
+    return;
+  }
+  // Value-only format (no tensor-level metadata): elements quantize
+  // independently and the loop chunks across threads.
+  elementwise_inplace(t, [g = grid_](float x) { return rne_quantize(x, g); });
 }
 
 void FloatFormat::quantize_view_inplace(TensorView& v) {
@@ -92,7 +62,9 @@ void FloatFormat::quantize_view_inplace(TensorView& v) {
     quantize_tensor_inplace(v.owner());
     return;
   }
-  view_elementwise_inplace(v, [this](float x) { return quantize_value(x); });
+  if (grid_.identity() && !obs::metrics_enabled()) return;
+  view_elementwise_inplace(v,
+                           [g = grid_](float x) { return rne_quantize(x, g); });
 }
 
 BitString FloatFormat::real_to_format(float value) const {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include "formats/number_format.hpp"
+#include "formats/rne.hpp"
 
 namespace ge::fmt {
 
@@ -42,9 +43,11 @@ class FloatFormat : public NumberFormat {
   int man_bits() const noexcept { return man_bits_; }
   int bias() const noexcept { return bias_; }
   bool denormals() const noexcept { return opt_.denormals; }
+  bool saturate_overflow() const noexcept { return opt_.saturate_overflow; }
 
-  /// Quantise one value to the nearest representable (float fast path; the
-  /// scalar bitstring methods agree with this exactly — tested).
+  /// Quantise one value to the nearest representable (the integer RNE
+  /// kernel of rne.hpp; the scalar bitstring methods agree with this
+  /// exactly — tested).
   float quantize_value(float x) const;
 
  private:
@@ -54,6 +57,7 @@ class FloatFormat : public NumberFormat {
   int e_min_;  // minimum normal (unbiased) exponent = 1 - bias
   int e_max_;  // maximum normal (unbiased) exponent = bias (top code reserved)
   Options opt_;
+  RneGrid grid_;
 };
 
 }  // namespace ge::fmt

@@ -22,14 +22,15 @@ FxpFormat::FxpFormat(int int_bits, int frac_bits)
   const int data_bits = int_bits_ + frac_bits_;
   min_code_ = -(int64_t{1} << data_bits);
   max_code_ = (int64_t{1} << data_bits) - 1;
+  // Quantum 2^-f; the code clamp [min_code, max_code] seen on the real axis.
+  // The largest positive value rounds to float32 (2^i once i+f > 24).
+  grid_ = RneGrid::fixed(-frac_bits_,
+                         double(max_code_) * std::ldexp(1.0, -frac_bits_),
+                         std::ldexp(1.0, int_bits_));
 }
 
 float FxpFormat::quantize_value(float x) const {
-  if (std::isnan(x)) return x;
-  const double scaled = double(x) * std::ldexp(1.0, frac_bits_);
-  double code = std::nearbyint(scaled);
-  code = std::clamp(code, double(min_code_), double(max_code_));
-  return static_cast<float>(code * std::ldexp(1.0, -frac_bits_));
+  return rne_quantize(x, grid_);
 }
 
 Tensor FxpFormat::real_to_format_tensor(const Tensor& t) {
@@ -40,7 +41,7 @@ Tensor FxpFormat::real_to_format_tensor(const Tensor& t) {
 
 void FxpFormat::quantize_tensor_inplace(Tensor& t) {
   // Value-only format: elements quantize independently (see FloatFormat).
-  elementwise_inplace(t, [this](float x) { return quantize_value(x); });
+  elementwise_inplace(t, [g = grid_](float x) { return rne_quantize(x, g); });
 }
 
 void FxpFormat::quantize_view_inplace(TensorView& v) {
@@ -48,7 +49,8 @@ void FxpFormat::quantize_view_inplace(TensorView& v) {
     quantize_tensor_inplace(v.owner());
     return;
   }
-  view_elementwise_inplace(v, [this](float x) { return quantize_value(x); });
+  view_elementwise_inplace(v,
+                           [g = grid_](float x) { return rne_quantize(x, g); });
 }
 
 BitString FxpFormat::real_to_format(float value) const {

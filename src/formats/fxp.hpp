@@ -4,6 +4,7 @@
 #pragma once
 
 #include "formats/number_format.hpp"
+#include "formats/rne.hpp"
 
 namespace ge::fmt {
 
@@ -29,6 +30,7 @@ class FxpFormat : public NumberFormat {
   /// Radix position (bits below the binary point).
   int radix() const noexcept { return frac_bits_; }
 
+  /// Quantise one value (the integer RNE kernel of rne.hpp).
   float quantize_value(float x) const;
 
  private:
@@ -36,6 +38,7 @@ class FxpFormat : public NumberFormat {
   int frac_bits_;
   int64_t min_code_;  // -2^(i+f)
   int64_t max_code_;  //  2^(i+f) - 1
+  RneGrid grid_;
 };
 
 }  // namespace ge::fmt

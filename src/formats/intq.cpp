@@ -1,8 +1,6 @@
 #include "formats/intq.hpp"
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 
 #include "obs/telemetry.hpp"
@@ -10,6 +8,13 @@
 #include "tensor/tensor_ops.hpp"
 
 namespace ge::fmt {
+
+RneGrid IntFormat::code_grid() const {
+  // Integer codes: quantum 2^0, clamped to +-max_code (as a float32, which
+  // is 2^31 for INT32).
+  const double cmax = static_cast<double>(static_cast<float>(max_code_));
+  return RneGrid::fixed(0, cmax, cmax);
+}
 
 IntFormat::IntFormat(int bits)
     : NumberFormat("int" + std::to_string(bits), bits),
@@ -41,18 +46,17 @@ void IntFormat::quantize_tensor_inplace(Tensor& t) {
   }
   const int64_t n = t.numel();
   last_shape_ = t.shape();
-  last_codes_.assign(static_cast<size_t>(n), 0);
+  last_codes_.resize(static_cast<size_t>(n));  // every code is written below
   Tensor before;
   if (obs::metrics_enabled()) before = t;  // O(1) pre-quant snapshot via COW
   float* p = t.data();
   const float inv = 1.0f / scale_;
-  const auto cmin = static_cast<float>(-max_code_);
-  const auto cmax = static_cast<float>(max_code_);
+  const RneGrid g = code_grid();
   // The scale (tensor metadata) is fixed above; the element loop only does
   // disjoint writes to `t` and `last_codes_`, so it parallelizes cleanly.
   parallel::parallel_for(0, n, 4096, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
-      const float code = std::clamp(std::nearbyintf(p[i] * inv), cmin, cmax);
+      const float code = rne_quantize(p[i] * inv, g);
       last_codes_[static_cast<size_t>(i)] = static_cast<int32_t>(code);
       p[i] = code * scale_;
     }
@@ -85,15 +89,14 @@ void IntFormat::quantize_view_inplace(TensorView& v) {
   }
   const int64_t n = v.numel();
   last_shape_ = v.shape();
-  last_codes_.assign(static_cast<size_t>(n), 0);
+  last_codes_.resize(static_cast<size_t>(n));  // every code is written below
   float* p = v.storage();
   const float inv = 1.0f / scale_;
-  const auto cmin = static_cast<float>(-max_code_);
-  const auto cmax = static_cast<float>(max_code_);
+  const RneGrid g = code_grid();
   parallel::parallel_for(0, n, 4096, [&](int64_t lo, int64_t hi) {
     for (int64_t i = lo; i < hi; ++i) {
       const int64_t s = v.flat_offset(i);
-      const float code = std::clamp(std::nearbyintf(p[s] * inv), cmin, cmax);
+      const float code = rne_quantize(p[s] * inv, g);
       last_codes_[static_cast<size_t>(i)] = static_cast<int32_t>(code);
       p[s] = code * scale_;
     }
@@ -101,9 +104,7 @@ void IntFormat::quantize_view_inplace(TensorView& v) {
 }
 
 BitString IntFormat::real_to_format(float value) const {
-  const float code = std::clamp(std::nearbyintf(value / scale_),
-                                static_cast<float>(-max_code_),
-                                static_cast<float>(max_code_));
+  const float code = rne_quantize(value / scale_, code_grid());
   const auto icode = static_cast<int64_t>(code);
   const uint64_t mask = (uint64_t{1} << bits_) - 1;
   return BitString(static_cast<uint64_t>(icode) & mask, bits_);
@@ -151,10 +152,13 @@ Tensor IntFormat::decode_last_tensor() const {
   }
   Tensor out(last_shape_);
   float* po = out.data();
-  for (size_t i = 0; i < last_codes_.size(); ++i) {
-    po[static_cast<int64_t>(i)] =
-        static_cast<float>(last_codes_[i]) * scale_;
-  }
+  const int32_t* codes = last_codes_.data();
+  const float scale = scale_;
+  parallel::parallel_for(0, out.numel(), 4096, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      po[i] = static_cast<float>(codes[i]) * scale;
+    }
+  });
   return out;
 }
 

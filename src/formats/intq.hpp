@@ -11,6 +11,7 @@
 #include <optional>
 
 #include "formats/number_format.hpp"
+#include "formats/rne.hpp"
 
 namespace ge::fmt {
 
@@ -50,6 +51,9 @@ class IntFormat : public NumberFormat {
   int64_t max_code() const noexcept { return max_code_; }
 
  private:
+  /// The code grid: RNE onto the integers, clamped to +-max_code.
+  RneGrid code_grid() const;
+
   int bits_;
   int64_t max_code_;          // 2^(N-1) - 1
   float scale_ = 1.0f;        // current scale register content

@@ -204,9 +204,6 @@ class NumberFormat {
 
 /// --- shared bit-level helpers (used by several formats and the tests) ----
 
-/// Round-to-nearest-even of x onto the grid {k * step}.
-float round_to_step(float x, float step);
-
 /// floor(log2(|x|)) for finite non-zero x.
 int floor_log2(float x);
 

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "parallel/thread_pool.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace ge::models {
@@ -38,15 +39,19 @@ Tensor BasicBlock::forward(const Tensor& input) {
   Tensor sum = ops::add(main, skip);
   // final ReLU (kept inline so we own its mask for backward)
   const int64_t n = sum.numel();
-  if (is_training()) out_mask_.assign(static_cast<size_t>(n), 0);
+  const bool cache = is_training();
+  if (cache) out_mask_.assign(static_cast<size_t>(n), 0);
+  uint8_t* mask = out_mask_.data();
   float* p = sum.data();
-  for (int64_t i = 0; i < n; ++i) {
-    if (p[i] > 0.0f) {
-      if (is_training()) out_mask_[static_cast<size_t>(i)] = 1;
-    } else {
-      p[i] = 0.0f;
+  parallel::parallel_for(0, n, 4096, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      if (p[i] > 0.0f) {
+        if (cache) mask[i] = 1;
+      } else {
+        p[i] = 0.0f;
+      }
     }
-  }
+  });
   return sum;
 }
 
@@ -56,9 +61,12 @@ Tensor BasicBlock::backward(const Tensor& grad_out) {
   }
   Tensor g = grad_out;
   float* pg = g.data();
-  for (int64_t i = 0; i < g.numel(); ++i) {
-    if (!out_mask_[static_cast<size_t>(i)]) pg[i] = 0.0f;
-  }
+  const uint8_t* mask = out_mask_.data();
+  parallel::parallel_for(0, g.numel(), 4096, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      if (!mask[i]) pg[i] = 0.0f;
+    }
+  });
   Tensor g_main = conv1_->backward(
       bn1_->backward(relu1_->backward(conv2_->backward(bn2_->backward(g)))));
   Tensor g_skip =

@@ -3,7 +3,21 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "parallel/thread_pool.hpp"
+
 namespace ge::nn {
+
+namespace {
+// Per-element activation loops run in fixed 4096-element chunks; each index
+// writes only its own outputs, so results are bitwise identical at any
+// thread count.
+template <typename F>
+void elementwise(int64_t n, F&& f) {
+  parallel::parallel_for(0, n, 4096, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) f(i);
+  });
+}
+}  // namespace
 
 Tensor ReLU::forward(const Tensor& input) {
   Tensor out(input.shape());
@@ -12,11 +26,12 @@ Tensor ReLU::forward(const Tensor& input) {
   const int64_t n = input.numel();
   const bool cache = is_training();
   if (cache) mask_.assign(static_cast<size_t>(n), 0);
-  for (int64_t i = 0; i < n; ++i) {
+  uint8_t* mask = mask_.data();
+  elementwise(n, [&](int64_t i) {
     const bool pos = pin[i] > 0.0f;
     po[i] = pos ? pin[i] : 0.0f;
-    if (cache && pos) mask_[static_cast<size_t>(i)] = 1;
-  }
+    if (cache && pos) mask[i] = 1;
+  });
   return out;
 }
 
@@ -26,10 +41,10 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   }
   Tensor gx(grad_out.shape());
   const float* pg = grad_out.data();
+  const uint8_t* mask = mask_.data();
   float* po = gx.data();
-  for (int64_t i = 0; i < grad_out.numel(); ++i) {
-    po[i] = mask_[static_cast<size_t>(i)] ? pg[i] : 0.0f;
-  }
+  elementwise(grad_out.numel(),
+              [&](int64_t i) { po[i] = mask[i] ? pg[i] : 0.0f; });
   return gx;
 }
 
@@ -54,7 +69,7 @@ Tensor GELU::forward(const Tensor& input) {
   Tensor out(input.shape());
   const float* pin = input.data();
   float* po = out.data();
-  for (int64_t i = 0; i < input.numel(); ++i) po[i] = gelu_value(pin[i]);
+  elementwise(input.numel(), [&](int64_t i) { po[i] = gelu_value(pin[i]); });
   if (is_training()) cached_input_ = input;
   return out;
 }
@@ -67,9 +82,8 @@ Tensor GELU::backward(const Tensor& grad_out) {
   const float* pg = grad_out.data();
   const float* px = cached_input_.cdata();
   float* po = gx.data();
-  for (int64_t i = 0; i < grad_out.numel(); ++i) {
-    po[i] = pg[i] * gelu_grad(px[i]);
-  }
+  elementwise(grad_out.numel(),
+              [&](int64_t i) { po[i] = pg[i] * gelu_grad(px[i]); });
   return gx;
 }
 
@@ -77,9 +91,9 @@ Tensor Sigmoid::forward(const Tensor& input) {
   Tensor out(input.shape());
   const float* pin = input.data();
   float* po = out.data();
-  for (int64_t i = 0; i < input.numel(); ++i) {
+  elementwise(input.numel(), [&](int64_t i) {
     po[i] = 1.0f / (1.0f + std::exp(-pin[i]));
-  }
+  });
   if (is_training()) cached_output_ = out;
   return out;
 }
@@ -92,9 +106,8 @@ Tensor Sigmoid::backward(const Tensor& grad_out) {
   const float* pg = grad_out.data();
   const float* py = cached_output_.cdata();
   float* po = gx.data();
-  for (int64_t i = 0; i < grad_out.numel(); ++i) {
-    po[i] = pg[i] * py[i] * (1.0f - py[i]);
-  }
+  elementwise(grad_out.numel(),
+              [&](int64_t i) { po[i] = pg[i] * py[i] * (1.0f - py[i]); });
   return gx;
 }
 
@@ -102,7 +115,7 @@ Tensor Tanh::forward(const Tensor& input) {
   Tensor out(input.shape());
   const float* pin = input.data();
   float* po = out.data();
-  for (int64_t i = 0; i < input.numel(); ++i) po[i] = std::tanh(pin[i]);
+  elementwise(input.numel(), [&](int64_t i) { po[i] = std::tanh(pin[i]); });
   if (is_training()) cached_output_ = out;
   return out;
 }
@@ -115,9 +128,8 @@ Tensor Tanh::backward(const Tensor& grad_out) {
   const float* pg = grad_out.data();
   const float* py = cached_output_.cdata();
   float* po = gx.data();
-  for (int64_t i = 0; i < grad_out.numel(); ++i) {
-    po[i] = pg[i] * (1.0f - py[i] * py[i]);
-  }
+  elementwise(grad_out.numel(),
+              [&](int64_t i) { po[i] = pg[i] * (1.0f - py[i] * py[i]); });
   return gx;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "parallel/thread_pool.hpp"
 
@@ -55,20 +56,50 @@ void mul_scalar_inplace(Tensor& a, float s) {
   for (float& v : a.flat()) v *= s;
 }
 
-float max_abs(const Tensor& a) {
+namespace {
+
+/// max |x_i| over i in [0, n), skipping NaNs (std::max keeps the running
+/// value against a NaN), as per-chunk maxima folded afterwards. max is
+/// exact in any order, so the result equals the serial scan at any thread
+/// count.
+template <typename At>
+float parallel_max_abs(int64_t n, At at) {
+  auto scan = [&](int64_t lo, int64_t hi) {
+    // Eight independent running maxima, so the loop is not one serial
+    // dependency chain (and vectorises where the accessor is contiguous).
+    float acc[8] = {};
+    int64_t i = lo;
+    for (; i + 8 <= hi; i += 8) {
+      for (int j = 0; j < 8; ++j) {
+        acc[j] = std::max(acc[j], std::fabs(at(i + j)));
+      }
+    }
+    for (; i < hi; ++i) acc[0] = std::max(acc[0], std::fabs(at(i)));
+    float m = 0.0f;
+    for (float x : acc) m = std::max(m, x);
+    return m;
+  };
+  if (n <= kElementGrain) return scan(0, n);
+  std::vector<float> part(static_cast<size_t>((n - 1) / kElementGrain + 1));
+  parallel::parallel_for(0, n, kElementGrain, [&](int64_t lo, int64_t hi) {
+    part[static_cast<size_t>(lo / kElementGrain)] = scan(lo, hi);
+  });
   float m = 0.0f;
-  for (float v : a.flat()) m = std::max(m, std::fabs(v));
+  for (float x : part) m = std::max(m, x);
   return m;
 }
 
+}  // namespace
+
+float max_abs(const Tensor& a) {
+  const float* p = a.cdata();
+  return parallel_max_abs(a.numel(), [p](int64_t i) { return p[i]; });
+}
+
 float max_abs(const ConstTensorView& v) {
-  float m = 0.0f;
   const float* p = v.storage();
-  const int64_t n = v.numel();
-  for (int64_t i = 0; i < n; ++i) {
-    m = std::max(m, std::fabs(p[v.flat_offset(i)]));
-  }
-  return m;
+  return parallel_max_abs(
+      v.numel(), [p, &v](int64_t i) { return p[v.flat_offset(i)]; });
 }
 
 float min_value(const Tensor& a) {

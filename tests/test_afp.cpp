@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "formats/afp.hpp"
 #include "tensor/rng.hpp"
@@ -166,6 +167,34 @@ TEST(Afp, MetadataErrorsAreChecked) {
   EXPECT_THROW(f.write_metadata("exp_bias", 0, BitString(0, 8)),
                std::logic_error);
   EXPECT_THROW(f.decode_last_tensor(), std::logic_error);
+}
+
+TEST(Afp, WideFormatsNeverFabricateNaN) {
+  // e8m23 with denormals at offset +15: e_min - man_bits = -141 - 23 is
+  // below float32's 2^-149, where the old float path's quantum underflowed
+  // to 0 and made NaN. The grid is finer than float32 there: exact.
+  AfpFormat f(8, 23, AfpFormat::Options{true});
+  Tensor t({1}, {1.0f});
+  f.quantize_tensor_inplace(t);
+  f.write_metadata("exp_bias", 0, BitString(15, AfpFormat::kOffsetBits));
+  ASSERT_EQ(f.bias_offset(), 15);
+  const float lim_denorm = std::numeric_limits<float>::denorm_min();
+  const float lim_min = std::numeric_limits<float>::min();
+  for (const float x : {lim_denorm, lim_min - lim_denorm, lim_min, 1e-40f,
+                        1e-38f, 1.0f}) {
+    for (const float v : {x, -x}) EXPECT_EQ(f.quantize_value(v), v);
+  }
+  // max: saturates at the moved abs_max, never NaN
+  const float mx = static_cast<float>(f.abs_max());
+  EXPECT_EQ(f.quantize_value(std::numeric_limits<float>::max()), mx);
+  // The persistent-register replay runs the same kernel.
+  Tensor u({3}, {lim_denorm, 1e-40f, 1.0f});
+  f.quantize_tensor_inplace(u);
+  f.write_metadata("exp_bias", 0, BitString(15, AfpFormat::kOffsetBits));
+  const Tensor q = f.decode_last_tensor();
+  EXPECT_EQ(q[0], lim_denorm);
+  EXPECT_EQ(q[1], 1e-40f);
+  EXPECT_EQ(q[2], 1.0f);
 }
 
 TEST(Afp, DenormalOptionExtendsRangeDown) {

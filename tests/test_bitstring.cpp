@@ -2,7 +2,11 @@
 // fault injector.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "formats/number_format.hpp"
+#include "formats/rne.hpp"
 
 namespace ge::fmt {
 namespace {
@@ -84,11 +88,16 @@ TEST(Helpers, Pow2f) {
 }
 
 TEST(Helpers, RoundToStepIsNearestEven) {
-  EXPECT_EQ(round_to_step(0.5f, 1.0f), 0.0f);   // tie -> even
-  EXPECT_EQ(round_to_step(1.5f, 1.0f), 2.0f);   // tie -> even
-  EXPECT_EQ(round_to_step(0.75f, 0.5f), 1.0f);  // tie at 1.5 steps -> 2 steps? no: 0.75/0.5=1.5 -> 2 -> 1.0
-  EXPECT_EQ(round_to_step(1.3f, 1.0f), 1.0f);
-  EXPECT_EQ(round_to_step(-1.5f, 1.0f), -2.0f);
+  // The integer RNE kernel on an unclamped fixed grid {k * 2^q}.
+  const double inf = std::numeric_limits<double>::infinity();
+  const RneGrid ones = RneGrid::fixed(0, inf, inf);
+  const RneGrid halves = RneGrid::fixed(-1, inf, inf);
+  EXPECT_EQ(rne_quantize(0.5f, ones), 0.0f);     // tie -> even
+  EXPECT_EQ(rne_quantize(1.5f, ones), 2.0f);     // tie -> even
+  EXPECT_EQ(rne_quantize(0.75f, halves), 1.0f);  // 1.5 steps -> 2 steps
+  EXPECT_EQ(rne_quantize(1.3f, ones), 1.0f);
+  EXPECT_EQ(rne_quantize(-1.5f, ones), -2.0f);
+  EXPECT_TRUE(std::signbit(rne_quantize(-0.25f, ones)));  // -> -0
 }
 
 }  // namespace

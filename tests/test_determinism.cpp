@@ -5,20 +5,26 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "formats/format_registry.hpp"
 #include "data/synthetic.hpp"
 #include "io/campaign_state.hpp"
 #include "models/model_factory.hpp"
+#include "nn/activation.hpp"
 #include "obs/metrics_server.hpp"
 #include "obs/profiler.hpp"
 #include "obs/run_log.hpp"
 #include "obs/telemetry.hpp"
 #include "parallel/thread_pool.hpp"
+#include "tensor/rng.hpp"
+#include "tensor/tensor_ops.hpp"
 
 namespace ge::core {
 namespace {
@@ -89,6 +95,60 @@ TEST(Determinism, LogitsBitwiseIdenticalAcrossThreadCounts) {
   parallel::set_num_threads(4);
   const Tensor par = (*f.model)(f.batch.images);
   EXPECT_TRUE(serial.equals(par));
+}
+
+// Every elementwise kernel on the pool — the activation modules forward
+// and backward, the quantize kernels with their metadata passes and
+// re-decodes, and the max_abs reduction — over a multi-chunk tensor that
+// includes NaN, ±Inf, ±0 and denormals: bitwise identical at 1 and 4
+// threads.
+std::vector<Tensor> elementwise_outputs() {
+  const int64_t n = 3 * 32 * 1024 + 77;  // several chunks at every grain
+  Rng rng(5);
+  Tensor x = rng.normal_tensor({n}, 0.0f, 4.0f);
+  float* p = x.data();
+  p[3] = std::numeric_limits<float>::quiet_NaN();
+  p[4099] = std::numeric_limits<float>::infinity();
+  p[40000] = -std::numeric_limits<float>::infinity();
+  p[50000] = -0.0f;
+  p[60000] = 1e-42f;
+  std::vector<Tensor> out;
+  out.push_back(Tensor::full({1}, ops::max_abs(x)));
+  std::vector<std::unique_ptr<nn::Module>> acts;
+  acts.push_back(std::make_unique<nn::ReLU>());
+  acts.push_back(std::make_unique<nn::GELU>());
+  acts.push_back(std::make_unique<nn::Sigmoid>());
+  acts.push_back(std::make_unique<nn::Tanh>());
+  for (auto& act : acts) {
+    act->train();
+    out.push_back((*act)(x));
+    out.push_back(act->backward(x));
+  }
+  for (const char* spec : {"fp_e5m10", "fp_e8m7", "fp_e8m23", "fxp_1_3_12",
+                           "int8", "bfp_e8m7_b16", "afp_e4m3"}) {
+    auto f = fmt::make_format(spec);
+    Tensor q = x;
+    f->quantize_tensor_inplace(q);
+    out.push_back(q);
+    if (f->has_metadata()) out.push_back(f->decode_last_tensor());
+  }
+  return out;
+}
+
+TEST(Determinism, ElementwiseKernelsBitwiseIdenticalAcrossThreadCounts) {
+  ThreadGuard guard;
+  parallel::set_num_threads(1);
+  const std::vector<Tensor> serial = elementwise_outputs();
+  parallel::set_num_threads(4);
+  const std::vector<Tensor> par = elementwise_outputs();
+  ASSERT_EQ(serial.size(), par.size());
+  for (size_t i = 0; i < serial.size(); ++i) {
+    ASSERT_EQ(serial[i].numel(), par[i].numel()) << i;
+    EXPECT_EQ(std::memcmp(serial[i].cdata(), par[i].cdata(),
+                          sizeof(float) * static_cast<size_t>(par[i].numel())),
+              0)
+        << "output " << i;
+  }
 }
 
 TEST(Determinism, CampaignBitwiseIdenticalAcrossThreadCounts) {

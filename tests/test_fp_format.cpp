@@ -177,6 +177,40 @@ TEST(FloatFormat, SignedZeroKeepsSign) {
   EXPECT_EQ(f.format_to_real(b), 0.0f);
 }
 
+TEST(FloatFormat, WideFormatsNeverFabricateNaN) {
+  // Grids finer than float32 at the bottom of the range: the old float
+  // path's pow2f(e - man_bits) underflowed to 0 there and round_to_step
+  // returned (x / 0) * 0 = NaN. No input class may come back as NaN, and
+  // single-bit values are exact in every one of these formats.
+  const float lim_denorm = std::numeric_limits<float>::denorm_min();
+  const float lim_min = std::numeric_limits<float>::min();
+  const float lim_max = std::numeric_limits<float>::max();
+  const float largest_denorm = lim_min - lim_denorm;
+  struct Wide {
+    int e, m;
+    float probe;  // a finite input the old path turned into NaN
+  };
+  for (const Wide w : {Wide{11, 52, 1e-30f}, Wide{8, 30, 1e-38f},
+                       Wide{10, 20, 1e-44f}}) {
+    FloatFormat f(w.e, w.m);
+    SCOPED_TRACE(f.spec());
+    EXPECT_EQ(f.quantize_value(w.probe), w.probe);
+    for (const float x : {lim_denorm, largest_denorm, lim_min, 1.0f, lim_max}) {
+      for (const float v : {x, -x}) {
+        const float q = f.quantize_value(v);
+        EXPECT_FALSE(std::isnan(q)) << v;
+        // single-bit values are exact; with m >= 23 every float32 is
+        if (w.m >= 23 || (x != largest_denorm && x != lim_max)) {
+          EXPECT_EQ(q, v);
+        }
+      }
+    }
+    Tensor t({5}, {lim_denorm, largest_denorm, lim_min, w.probe, lim_max});
+    f.quantize_tensor_inplace(t);
+    for (const float v : t.cflat()) EXPECT_FALSE(std::isnan(v));
+  }
+}
+
 TEST(FloatFormat, TensorAndScalarPathsAgree) {
   FloatFormat f(4, 3);
   Rng rng(2);

@@ -63,6 +63,21 @@ TEST(Reductions, MinMaxMaxAbs) {
   EXPECT_EQ(ops::max_abs(a), 6.0f);
 }
 
+TEST(Reductions, MaxAbsSkipsNanAcrossChunks) {
+  // Several reduction chunks; the largest magnitude sits in the last one
+  // and NaNs (skipped, as by the serial scan) in the others.
+  Tensor a = Tensor::zeros({100003});
+  a[5] = std::numeric_limits<float>::quiet_NaN();
+  a[40000] = -7.5f;
+  a[70000] = std::numeric_limits<float>::quiet_NaN();
+  a[100002] = 9.25f;
+  EXPECT_EQ(ops::max_abs(a), 9.25f);
+  a[100002] = 0.0f;
+  EXPECT_EQ(ops::max_abs(a), 7.5f);
+  Tensor nan_first({3}, {std::numeric_limits<float>::quiet_NaN(), -2, 1});
+  EXPECT_EQ(ops::max_abs(nan_first), 2.0f);
+}
+
 TEST(Reductions, EmptyTensorThrows) {
   Tensor empty({0});
   EXPECT_THROW(ops::min_value(empty), std::invalid_argument);
