@@ -656,12 +656,14 @@ int cmd_merge(const ParsedArgs& p, std::ostream& out, std::ostream& err,
     return output.empty() ? 2 : 0;
   }
   const CampaignResult r = finalize_campaign(merged);
-  out << "campaign: " << merged.format_spec
-      << " injections/layer=" << merged.injections_per_layer << "\n";
-  out << "clean emulated accuracy: " << r.golden_accuracy << "\n";
-  out << "network mean dLoss: " << r.network_mean_delta_loss() << "\n";
-  out << "campaign digest: 0x" << std::hex << campaign_digest(r) << std::dec
-      << "\n";
+  // The summary reads only these spec fields, all echoed in the progress:
+  // a merge prints exactly what the single-process campaign printed.
+  net::CampaignSpecMsg spec;
+  spec.format_spec = merged.format_spec;
+  spec.site = static_cast<uint8_t>(merged.site);
+  spec.error_model = static_cast<uint8_t>(merged.model);
+  spec.injections_per_layer = merged.injections_per_layer;
+  out << net::render_campaign_summary(spec, r);
   if (log != nullptr) {
     obs::JsonObject row;
     row.str("format", merged.format_spec)

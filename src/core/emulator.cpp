@@ -7,7 +7,6 @@
 #include "nn/loss.hpp"
 #include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
-#include "tensor/tensor_view.hpp"
 
 namespace ge::core {
 
@@ -106,23 +105,18 @@ void Emulator::attach() {
             // lands under (format, layer) in the attribution table.
             obs::AttrScope attr(cfg_.format_spec, s.path);
             obs::Span hook_span("emulator", "site", s.path);
-            if (obs::metrics_enabled()) {
-              // Metrics path: an O(1) shared snapshot keeps the
-              // pre-quantisation activations (the in-place write detaches
-              // via copy-on-write) so the per-layer error summary can
-              // compare. The copy exists only while metrics are on; values
-              // are never altered, so results match the plain path bitwise.
-              const Tensor before = y;
-              s.act_format->quantize_tensor_inplace(y);
-              obs::record_layer_quant_error(s.path, before.cdata(),
-                                            y.cdata(), y.numel(),
+            // Metrics on: an O(1) shared snapshot keeps the pre-quantisation
+            // activations (the in-place write detaches via copy-on-write) so
+            // the per-layer error summary can compare. Values are never
+            // altered, so results match the metrics-off path bitwise.
+            const bool metrics = obs::metrics_enabled();
+            Tensor before;
+            if (metrics) before = y;
+            s.act_format->quantize_tensor_inplace(y);
+            if (metrics) {
+              obs::record_layer_quant_error(s.path, before.cdata(), y.cdata(),
+                                            y.numel(),
                                             s.act_format->abs_max());
-            } else {
-              // Addressed as a (whole-tensor) view: dense_full() routes to
-              // the tensor kernel, so this is bitwise the classic path —
-              // and the same call shape region-granular emulation uses.
-              TensorView yview(y);
-              s.act_format->quantize_view_inplace(yview);
             }
             if (post_quant_) post_quant_(s, y);
           });

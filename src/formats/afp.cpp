@@ -43,12 +43,6 @@ float AfpFormat::quantize_value(float x) const {
   return rne_quantize(x, grid());
 }
 
-Tensor AfpFormat::real_to_format_tensor(const Tensor& t) {
-  Tensor out = t;  // O(1) share; the in-place kernel detaches on write
-  quantize_tensor_inplace(out);
-  return out;
-}
-
 void AfpFormat::quantize_tensor_inplace(Tensor& t) {
   // Adaptive step: move the representable range onto the data, as far as
   // the offset register allows.
@@ -79,19 +73,6 @@ void AfpFormat::quantize_tensor_inplace(Tensor& t) {
     }
   });
   obs::record_quantization(last_vals_.data(), p, n, abs_max());
-}
-
-void AfpFormat::quantize_view_inplace(TensorView& v) {
-  if (v.dense_full()) {
-    quantize_tensor_inplace(v.owner());
-    return;
-  }
-  // The adaptive bias offset and the persistent-register replay capture
-  // (last_vals_) are defined over the view's element sequence; the gather
-  // fallback computes both on the dense image and scatters the quantised
-  // values back — bitwise what a strided pass would produce, since the
-  // bias reduction and per-element rounding see identical values.
-  quantize_view_gather(v);
 }
 
 BitString AfpFormat::real_to_format(float value) const {

@@ -146,62 +146,6 @@ std::unique_ptr<NumberFormat> make_format(const std::string& spec) {
   return f;
 }
 
-const std::vector<float>* dequant_codebook(const std::string& spec) {
-  static std::mutex mu;
-  static std::unordered_map<std::string, std::unique_ptr<std::vector<float>>>
-      cache;
-  std::lock_guard<std::mutex> lk(mu);
-  const auto it = cache.find(spec);
-  if (it != cache.end()) return it->second.get();
-
-  auto f = parse(spec);
-  if (!f) {
-    throw std::invalid_argument("dequant_codebook: unknown format spec '" +
-                                spec + "'");
-  }
-  auto& slot = cache[spec];
-  // Only value-only formats decode context-free: any format with hardware
-  // metadata registers (INT scale, BFP shared exponents, AFP bias offset)
-  // decodes differently per tensor, so a static codebook would be wrong.
-  if (f->bit_width() > 16 || !f->metadata_fields().empty()) {
-    return nullptr;  // slot stays null and future lookups short-circuit
-  }
-  const uint64_t count = uint64_t{1} << f->bit_width();
-  auto table = std::make_unique<std::vector<float>>();
-  table->reserve(static_cast<size_t>(count));
-  for (uint64_t p = 0; p < count; ++p) {
-    table->push_back(f->format_to_real(BitString(p, f->bit_width())));
-  }
-  slot = std::move(table);
-  return slot.get();
-}
-
-bool dequantize_codes_inplace(const std::string& spec, Tensor& t) {
-  const std::vector<float>* table = dequant_codebook(spec);
-  if (table == nullptr) return false;
-  const auto size = static_cast<int64_t>(table->size());
-  const int64_t n = t.numel();
-  // Validate before mutating: a throw must leave `t` untouched, and the
-  // read-only pass keeps the failure path out of the parallel region.
-  const float* in = t.cdata();
-  for (int64_t i = 0; i < n; ++i) {
-    const auto code = static_cast<int64_t>(in[i]);
-    if (in[i] != static_cast<float>(code) || code < 0 || code >= size) {
-      throw std::invalid_argument(
-          "dequantize_codes_inplace: element " + std::to_string(i) + " (" +
-          std::to_string(in[i]) + ") is not a code point of '" + spec + "'");
-    }
-  }
-  const float* lut = table->data();
-  float* p = t.data();  // any COW detach happens here, single-threaded
-  parallel::parallel_for(0, n, 4096, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      p[i] = lut[static_cast<size_t>(p[i])];
-    }
-  });
-  return true;
-}
-
 bool is_valid_spec(const std::string& spec) {
   try {
     return parse(spec) != nullptr;

@@ -28,25 +28,6 @@ std::unique_ptr<NumberFormat> make_format(const std::string& spec);
 /// True if `spec` parses (cheap validation for config front ends).
 bool is_valid_spec(const std::string& spec);
 
-/// Cached dequantization codebook for value-only formats of <= 16 bits:
-/// entry p is format_to_real(BitString(p, width)), so bulk decode becomes a
-/// table lookup. Returns nullptr for formats whose decode depends on
-/// per-tensor metadata (int, bfp, afp) or that are wider than 16 bits.
-/// Built once per spec and shared; the pointer stays valid for the
-/// lifetime of the process. Throws std::invalid_argument on a bad spec.
-const std::vector<float>* dequant_codebook(const std::string& spec);
-
-/// Bulk codebook decode, in place — the decode counterpart of
-/// NumberFormat::quantize_tensor_inplace. Every element of `t` must hold a
-/// code point of the format (an integer in [0, 2^bit_width), as produced
-/// by real_to_format().value()); it is overwritten with the value that bit
-/// pattern represents, chunked across pool workers with zero allocation
-/// beyond `t`'s own storage. Returns false (leaving `t` untouched) when no
-/// codebook exists for `spec` — metadata-bearing formats (int, bfp, afp)
-/// and formats wider than 16 bits decode per tensor, not per table.
-/// Throws std::invalid_argument on a bad spec or an out-of-range code.
-bool dequantize_codes_inplace(const std::string& spec, Tensor& t);
-
 /// The named aliases this build knows about (for --help output).
 std::vector<std::string> known_aliases();
 

@@ -39,12 +39,6 @@ float FloatFormat::quantize_value(float x) const {
   return rne_quantize(x, grid_);
 }
 
-Tensor FloatFormat::real_to_format_tensor(const Tensor& t) {
-  Tensor out = t;  // O(1) share; the in-place kernel detaches on write
-  quantize_tensor_inplace(out);
-  return out;
-}
-
 void FloatFormat::quantize_tensor_inplace(Tensor& t) {
   if (grid_.identity()) {
     // fp_e8m23 and wider: every float32 is representable. Nothing to write
@@ -55,16 +49,6 @@ void FloatFormat::quantize_tensor_inplace(Tensor& t) {
   // Value-only format (no tensor-level metadata): elements quantize
   // independently and the loop chunks across threads.
   elementwise_inplace(t, [g = grid_](float x) { return rne_quantize(x, g); });
-}
-
-void FloatFormat::quantize_view_inplace(TensorView& v) {
-  if (v.dense_full()) {
-    quantize_tensor_inplace(v.owner());
-    return;
-  }
-  if (grid_.identity() && !obs::metrics_enabled()) return;
-  view_elementwise_inplace(v,
-                           [g = grid_](float x) { return rne_quantize(x, g); });
 }
 
 BitString FloatFormat::real_to_format(float value) const {

@@ -33,24 +33,9 @@ float FxpFormat::quantize_value(float x) const {
   return rne_quantize(x, grid_);
 }
 
-Tensor FxpFormat::real_to_format_tensor(const Tensor& t) {
-  Tensor out = t;  // O(1) share; the in-place kernel detaches on write
-  quantize_tensor_inplace(out);
-  return out;
-}
-
 void FxpFormat::quantize_tensor_inplace(Tensor& t) {
   // Value-only format: elements quantize independently (see FloatFormat).
   elementwise_inplace(t, [g = grid_](float x) { return rne_quantize(x, g); });
-}
-
-void FxpFormat::quantize_view_inplace(TensorView& v) {
-  if (v.dense_full()) {
-    quantize_tensor_inplace(v.owner());
-    return;
-  }
-  view_elementwise_inplace(v,
-                           [g = grid_](float x) { return rne_quantize(x, g); });
 }
 
 BitString FxpFormat::real_to_format(float value) const {

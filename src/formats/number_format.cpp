@@ -57,22 +57,10 @@ Tensor NumberFormat::format_to_real_tensor(const Tensor& t) const {
   return t;  // values are already held as float32 reals on the fabric
 }
 
-void NumberFormat::quantize_tensor_inplace(Tensor& t) {
-  t = real_to_format_tensor(t);
-}
-
-void NumberFormat::quantize_view_inplace(TensorView& v) {
-  if (v.dense_full()) {
-    quantize_tensor_inplace(v.owner());
-    return;
-  }
-  quantize_view_gather(v);
-}
-
-void NumberFormat::quantize_view_gather(TensorView& v) {
-  Tensor tmp = v.materialize();
-  quantize_tensor_inplace(tmp);
-  v.assign_from(tmp);
+Tensor NumberFormat::real_to_format_tensor(const Tensor& t) {
+  Tensor out = t;  // O(1) share; the in-place kernel detaches on write
+  quantize_tensor_inplace(out);
+  return out;
 }
 
 BitString NumberFormat::real_to_format_at(float value,

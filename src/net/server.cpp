@@ -232,12 +232,17 @@ int Server::run() {
   std::thread executor([this] { executor_loop(); });
 
   while (!stop_.load(std::memory_order_relaxed)) {
+    reap_finished_sessions();
     Socket conn = accept_connection(listen_, /*timeout_ms=*/100);
     if (!conn.valid()) continue;
     obs::add(obs::Counter::kNetRequests);
-    std::lock_guard<std::mutex> lock(threads_mu_);
     session_threads_.emplace_back(
-        [this](Socket s) { session_thread(std::move(s)); }, std::move(conn));
+        [this](Socket s) {
+          session_thread(std::move(s));
+          std::lock_guard<std::mutex> lock(threads_mu_);
+          finished_sessions_.push_back(std::this_thread::get_id());
+        },
+        std::move(conn));
   }
 
   // Drain: the executor finishes (or checkpoints) the active campaign and
@@ -245,15 +250,29 @@ int Server::run() {
   // their next poll tick and wind down.
   executor.join();
   shutdown_sessions_.store(true, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    for (std::thread& t : session_threads_) t.join();
-  }
+  for (std::thread& t : session_threads_) t.join();
   obs::set_status_source(nullptr);
   log_event("serve_exit", "graceful shutdown", 0,
             served_.load(std::memory_order_relaxed));
   obs::log(1, "serve: drained, exiting");
   return 0;
+}
+
+void Server::reap_finished_sessions() {
+  std::vector<std::thread::id> done;
+  {
+    std::lock_guard<std::mutex> lock(threads_mu_);
+    done.swap(finished_sessions_);
+  }
+  // Each id is an unjoined thread's (ids are only reused after a join), so
+  // the lookup always hits; the join waits out at most its last return.
+  for (const std::thread::id id : done) {
+    const auto it = std::find_if(
+        session_threads_.begin(), session_threads_.end(),
+        [id](const std::thread& t) { return t.get_id() == id; });
+    it->join();
+    session_threads_.erase(it);
+  }
 }
 
 void Server::session_thread(Socket sock) {

@@ -121,6 +121,8 @@ class Server {
   };
 
   void session_thread(Socket sock);
+  /// Join (and forget) every session thread that has ended.
+  void reap_finished_sessions();
   void serve_submit(std::shared_ptr<FrameChannel> chan,
                     const std::string& who);
   void serve_worker(std::shared_ptr<FrameChannel> chan,
@@ -170,8 +172,12 @@ class Server {
   std::mutex wstats_mu_;
   std::map<std::string, WorkerStats> worker_stats_;
 
-  std::mutex threads_mu_;
+  /// One per accepted connection, touched only by the run() thread: it
+  /// joins ended sessions as it accepts new ones, so a long-lived daemon
+  /// does not keep every finished session's stack mapped.
   std::vector<std::thread> session_threads_;
+  std::mutex threads_mu_;
+  std::vector<std::thread::id> finished_sessions_;  ///< ended, not joined
 };
 
 /// CLI entry: run a Server with SIGINT/SIGTERM wired to request_stop().

@@ -56,25 +56,23 @@ void mul_scalar_inplace(Tensor& a, float s) {
   for (float& v : a.flat()) v *= s;
 }
 
-namespace {
-
-/// max |x_i| over i in [0, n), skipping NaNs (std::max keeps the running
-/// value against a NaN), as per-chunk maxima folded afterwards. max is
-/// exact in any order, so the result equals the serial scan at any thread
-/// count.
-template <typename At>
-float parallel_max_abs(int64_t n, At at) {
-  auto scan = [&](int64_t lo, int64_t hi) {
+/// max |x_i|, skipping NaNs (std::max keeps the running value against a
+/// NaN), as per-chunk maxima folded afterwards. max is exact in any order,
+/// so the result equals the serial scan at any thread count.
+float max_abs(const Tensor& a) {
+  const float* p = a.cdata();
+  const int64_t n = a.numel();
+  auto scan = [p](int64_t lo, int64_t hi) {
     // Eight independent running maxima, so the loop is not one serial
-    // dependency chain (and vectorises where the accessor is contiguous).
+    // dependency chain (and vectorises).
     float acc[8] = {};
     int64_t i = lo;
     for (; i + 8 <= hi; i += 8) {
       for (int j = 0; j < 8; ++j) {
-        acc[j] = std::max(acc[j], std::fabs(at(i + j)));
+        acc[j] = std::max(acc[j], std::fabs(p[i + j]));
       }
     }
-    for (; i < hi; ++i) acc[0] = std::max(acc[0], std::fabs(at(i)));
+    for (; i < hi; ++i) acc[0] = std::max(acc[0], std::fabs(p[i]));
     float m = 0.0f;
     for (float x : acc) m = std::max(m, x);
     return m;
@@ -87,19 +85,6 @@ float parallel_max_abs(int64_t n, At at) {
   float m = 0.0f;
   for (float x : part) m = std::max(m, x);
   return m;
-}
-
-}  // namespace
-
-float max_abs(const Tensor& a) {
-  const float* p = a.cdata();
-  return parallel_max_abs(a.numel(), [p](int64_t i) { return p[i]; });
-}
-
-float max_abs(const ConstTensorView& v) {
-  const float* p = v.storage();
-  return parallel_max_abs(
-      v.numel(), [p, &v](int64_t i) { return p[v.flat_offset(i)]; });
 }
 
 float min_value(const Tensor& a) {

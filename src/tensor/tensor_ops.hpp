@@ -21,9 +21,6 @@ void mul_scalar_inplace(Tensor& a, float s);
 
 /// --- reductions -----------------------------------------------------------
 float max_abs(const Tensor& a);
-/// Strided-view reduction: the same element-order combine as the dense
-/// kernel, so a view and its materialized copy reduce bitwise equally.
-float max_abs(const ConstTensorView& v);
 float min_value(const Tensor& a);
 float max_value(const Tensor& a);
 /// Row-wise argmax over the last dimension; returns indices, one per row.

@@ -11,10 +11,10 @@
 //    shared_ptr share, so the data stays alive (and, per the COW rules,
 //    any later write to the owner detaches the owner, not the view — a
 //    const view always observes the values at capture time).
-//  - TensorView is mutable and holds a pointer to the owning Tensor: the
-//    first mutable access triggers the owner's copy-on-write (exactly once
-//    while the storage is shared); reads never detach. A mutable view does
-//    NOT pin storage — the owner must outlive it.
+//  - TensorView is geometry only: it maps view-linear indices to storage
+//    indices of a Tensor the caller then writes through the Tensor's own
+//    accessor (so copy-on-write stays the Tensor's business). It holds no
+//    pointer to the Tensor.
 //
 // Strides must be non-negative and every reachable storage index must be
 // in range; both are validated at construction.
@@ -69,7 +69,6 @@ class ConstTensorView {
   void materialize_into(float* dst) const;
 
  private:
-  friend class TensorView;
   std::shared_ptr<const std::vector<float>> pin_;
   const float* base_ = nullptr;
   int64_t offset_ = 0;
@@ -81,50 +80,17 @@ class ConstTensorView {
 
 class TensorView {
  public:
-  TensorView() = default;
-  /// Whole-tensor mutable view (dense, offset 0).
-  explicit TensorView(Tensor& t);
-  /// Strided mutable window; validation as for ConstTensorView.
-  TensorView(Tensor& t, int64_t offset, Shape shape,
+  /// Whole-tensor view (dense, offset 0).
+  explicit TensorView(const Tensor& t);
+  /// Strided window; validation as for ConstTensorView.
+  TensorView(const Tensor& t, int64_t offset, Shape shape,
              std::vector<int64_t> strides);
 
-  const Shape& shape() const noexcept { return shape_; }
-  int64_t dim() const noexcept { return static_cast<int64_t>(shape_.size()); }
-  int64_t size(int64_t d) const;
   int64_t numel() const noexcept { return numel_; }
-  const std::vector<int64_t>& strides() const noexcept { return strides_; }
-  int64_t offset() const noexcept { return offset_; }
-  bool contiguous() const noexcept { return contiguous_; }
-  /// True when the view covers the owner's storage exactly, in layout
-  /// order (contiguous, offset 0, every element) — the dense fast path:
-  /// code holding such a view may operate on the owner Tensor directly.
-  bool dense_full() const noexcept;
-
-  Tensor& owner() noexcept { return *owner_; }
-  const Tensor& owner() const noexcept { return *owner_; }
-
+  /// Storage index of view-linear element `i` (row-major view order).
   int64_t flat_offset(int64_t i) const;
-  /// Mutable base pointer; triggers the owner's copy-on-write (once while
-  /// the storage is shared). Hoist this out of loops: the per-call cost
-  /// after the detach is one use_count load.
-  float* storage() { return owner_->data(); }
-  /// Read-only base pointer; never detaches.
-  const float* cstorage() const noexcept { return owner_->cdata(); }
-  float read(int64_t i) const { return cstorage()[flat_offset(i)]; }
-  float& operator[](int64_t i) { return storage()[flat_offset(i)]; }
-
-  /// Gather the view into a dense Tensor of shape().
-  Tensor materialize() const;
-  /// Scatter a dense tensor (shape must equal shape()) back through the
-  /// view. COWs the owner once; elements outside the view are untouched.
-  void assign_from(const Tensor& src);
-  ConstTensorView as_const() const;
 
  private:
-  void init(Tensor& t, int64_t offset, Shape shape,
-            std::vector<int64_t> strides);
-
-  Tensor* owner_ = nullptr;
   int64_t offset_ = 0;
   int64_t numel_ = 0;
   bool contiguous_ = true;

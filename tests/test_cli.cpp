@@ -384,6 +384,9 @@ TEST(Cli, CampaignShardsMergeToSingleProcessDigest) {
                                shard_files[2]});
   ASSERT_EQ(merged.code, 0) << merged.err;
   EXPECT_EQ(grab_line(merged.out, "campaign digest:"), digest);
+  // The whole summary (site, error model, layer table, network mean at the
+  // table's precision), not only the digest, is the single run's.
+  EXPECT_EQ(merged.out, want.out);
 
   // A missing shard is a diagnosed failure, not silent wrong statistics.
   const auto partial =

@@ -179,27 +179,35 @@ TEST(Determinism, ReplicaPathMatchesSerialPrimaryPath) {
 TEST(Determinism, TelemetryDoesNotPerturbCampaignResults) {
   // The observability contract: tracing + metrics read state but never feed
   // back into RNG streams, chunking, or arithmetic, so a fully-instrumented
-  // run is bitwise identical to a dark one.
+  // run is bitwise identical to a dark one. Each format's bulk quantizer
+  // forks on metrics (pre-quantisation snapshot, error summary), so every
+  // family runs: fp, fxp, int, posit, bfp, afp.
   ThreadGuard guard;
   Fixture f;
   parallel::set_num_threads(4);
-  const CampaignConfig cfg = campaign_cfg(/*with_replicas=*/true);
+  for (const char* spec : {"fp_e5m10", "fxp_1_4_11", "int8", "posit_8_1",
+                           "bfp_e5m5_b16", "afp_e4m3"}) {
+    SCOPED_TRACE(spec);
+    CampaignConfig cfg = campaign_cfg(/*with_replicas=*/true);
+    cfg.format_spec = spec;
 
-  CampaignResult dark, lit;
-  {
-    obs::TelemetryScope scope(/*tracing=*/false, /*metrics=*/false);
-    dark = run_campaign(*f.model, f.batch, cfg);
+    CampaignResult dark, lit;
+    {
+      obs::TelemetryScope scope(/*tracing=*/false, /*metrics=*/false);
+      dark = run_campaign(*f.model, f.batch, cfg);
+    }
+    {
+      obs::TelemetryScope scope(/*tracing=*/true, /*metrics=*/true);
+      obs::reset_all();
+      lit = run_campaign(*f.model, f.batch, cfg);
+      // sanity: instrumentation actually fired during the lit run
+      EXPECT_GT(obs::trace_event_count(), 0u);
+      EXPECT_GT(obs::counter_value(obs::Counter::kTrials), 0u);
+      EXPECT_GT(obs::counter_value(obs::Counter::kElementsQuantized), 0u);
+      obs::reset_all();
+    }
+    expect_same_result(dark, lit);
   }
-  {
-    obs::TelemetryScope scope(/*tracing=*/true, /*metrics=*/true);
-    obs::reset_all();
-    lit = run_campaign(*f.model, f.batch, cfg);
-    // sanity: instrumentation actually fired during the lit run
-    EXPECT_GT(obs::trace_event_count(), 0u);
-    EXPECT_GT(obs::counter_value(obs::Counter::kTrials), 0u);
-    obs::reset_all();
-  }
-  expect_same_result(dark, lit);
 }
 
 // ---------------------------------------------------------------------------

@@ -120,91 +120,5 @@ TEST(InplaceQuant, EmptyTensorIsANoOp) {
   }
 }
 
-// --- bulk codebook decode (the inverse direction) --------------------------
-
-// Value-only formats <= 16 bits: decode is a pure table lookup.
-const std::vector<std::string> kCodebookSpecs = {"fp_e4m3", "fxp_1_4_3",
-                                                 "posit_8_1"};
-// Metadata-bearing formats decode per tensor, never per table.
-const std::vector<std::string> kNoCodebookSpecs = {"int8", "bfp_e5m5_b16",
-                                                   "afp_e4m3"};
-
-TEST(DequantCodes, InplaceDecodeMatchesScalarDecode) {
-  for (const auto& spec : kCodebookSpecs) {
-    auto f = make_format(spec);
-    const Tensor input = test_input();
-    Tensor codes(input.shape());
-    Tensor want(input.shape());
-    for (int64_t i = 0; i < input.numel(); ++i) {
-      const BitString b = f->real_to_format(input.cdata()[i]);
-      codes.data()[i] = static_cast<float>(b.value());
-      want.data()[i] = f->format_to_real(b);
-    }
-    ASSERT_TRUE(dequantize_codes_inplace(spec, codes)) << spec;
-    EXPECT_TRUE(codes.equals(want)) << spec;
-  }
-}
-
-TEST(DequantCodes, MetadataFormatsDeclineAndLeaveTensorUntouched) {
-  for (const auto& spec : kNoCodebookSpecs) {
-    EXPECT_EQ(dequant_codebook(spec), nullptr) << spec;
-    Tensor t = test_input();
-    const Tensor before = t.clone();
-    EXPECT_FALSE(dequantize_codes_inplace(spec, t)) << spec;
-    EXPECT_TRUE(t.equals(before)) << spec;
-  }
-}
-
-TEST(DequantCodes, BadCodesAreRejectedBeforeAnyWrite) {
-  auto check_rejected = [](float bad_code) {
-    Tensor t({4});
-    t.data()[0] = 1.0f;
-    t.data()[1] = 2.0f;
-    t.data()[2] = bad_code;
-    t.data()[3] = 3.0f;
-    const Tensor before = t.clone();
-    EXPECT_THROW(dequantize_codes_inplace("fp_e4m3", t),
-                 std::invalid_argument);
-    // Validation precedes mutation: a rejected tensor is untouched.
-    EXPECT_TRUE(t.equals(before));
-  };
-  check_rejected(256.0f);  // out of range for an 8-bit format
-  check_rejected(-1.0f);
-  check_rejected(3.5f);    // not an integral code point
-}
-
-TEST(DequantCodes, SharedStorageDetachesViaCow) {
-  auto f = make_format("fp_e4m3");
-  Tensor codes({8});
-  for (int64_t i = 0; i < 8; ++i) {
-    codes.data()[i] = static_cast<float>(i * 7);
-  }
-  const Tensor original = codes;  // O(1) share
-  ASSERT_TRUE(dequantize_codes_inplace("fp_e4m3", codes));
-  EXPECT_FALSE(codes.shares_storage_with(original));
-  for (int64_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(original.cdata()[i], static_cast<float>(i * 7));
-  }
-}
-
-TEST(DequantCodes, RoundTripsTheInplaceQuantizerOutput) {
-  // encode (quantize to codes via scalar path) -> bulk decode must land on
-  // exactly the values quantize_tensor_inplace produces.
-  for (const auto& spec : kCodebookSpecs) {
-    auto f1 = make_format(spec);
-    Tensor values = test_input();
-    f1->quantize_tensor_inplace(values);
-
-    auto f2 = make_format(spec);
-    Tensor codes(values.shape());
-    for (int64_t i = 0; i < values.numel(); ++i) {
-      codes.data()[i] =
-          static_cast<float>(f2->real_to_format(values.cdata()[i]).value());
-    }
-    ASSERT_TRUE(dequantize_codes_inplace(spec, codes)) << spec;
-    EXPECT_TRUE(codes.equals(values)) << spec;
-  }
-}
-
 }  // namespace
 }  // namespace ge::fmt

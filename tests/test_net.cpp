@@ -6,10 +6,12 @@
 // trial space, and a full loopback serve/submit/worker exercise asserting
 // the served digest is bitwise identical to an offline run.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -944,6 +946,59 @@ TEST(ServeLoopback, InvalidSpecIsRefusedWithServerError) {
   EXPECT_EQ(run_submit(sub, nullptr, out, err), 1);
   EXPECT_NE(err.str().find("server error"), std::string::npos) << err.str();
   serve.join();
+}
+
+/// This process's virtual size in kB (VmSize of /proc/self/status).
+int64_t vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoll(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(ServeLoopback, FinishedSessionThreadsAreReaped) {
+  // Every accepted connection runs on its own session thread. A daemon
+  // that joins them only at shutdown keeps each ended session's stack
+  // mapped: one default thread stack of virtual size per submit.
+  // Sequential refused submits (an unknown format fails before any model
+  // work) must leave VmSize flat. (The mapping count is no witness: under
+  // ThreadSanitizer it grows by about one per thread even when joined.)
+  constexpr int kWarmup = 4;
+  constexpr int kSubmits = 64;
+  ServeOptions sopts;
+  sopts.cache_dir = kCacheDir;
+  sopts.max_campaigns = kWarmup + kSubmits;
+  Server server(sopts, nullptr);
+  ASSERT_TRUE(server.ok()) << server.last_error();
+  std::thread serve([&] { server.run(); });
+
+  SubmitOptions sub;
+  sub.port = server.port();
+  sub.spec = e2e_spec();
+  sub.spec.format_spec = "not_a_format";
+  auto submit = [&] {
+    std::ostringstream out, err;
+    EXPECT_EQ(run_submit(sub, nullptr, out, err), 1) << err.str();
+  };
+  for (int i = 0; i < kWarmup; ++i) submit();
+  const int64_t before_kb = vm_size_kb();
+  for (int i = 0; i < kSubmits; ++i) submit();
+  const int64_t after_kb = vm_size_kb();
+  serve.join();
+
+  pthread_attr_t attr;
+  size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_getattr_default_np(&attr), 0);
+  pthread_attr_getstacksize(&attr, &stack_bytes);
+  pthread_attr_destroy(&attr);
+  const auto stack_kb = static_cast<int64_t>(stack_bytes / 1024);
+  // A few sessions may still await their join when `after_kb` is read,
+  // and a new malloc arena (64 MB of address space) may appear; a leak
+  // shows kSubmits stacks.
+  EXPECT_GT(before_kb, 0);
+  EXPECT_LT(after_kb - before_kb, kSubmits / 4 * stack_kb)
+      << before_kb << " -> " << after_kb << " kB";
 }
 
 }  // namespace

@@ -1,8 +1,6 @@
 // Format registry: the spec-string surface of the tool.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "formats/afp.hpp"
 #include "formats/bfp.hpp"
 #include "formats/format_registry.hpp"
@@ -122,38 +120,6 @@ TEST(Registry, RepeatedMakeFormatReturnsFreshState) {
   EXPECT_NO_THROW(first->decode_last_tensor());
   auto second = make_format("int8");
   EXPECT_THROW(second->decode_last_tensor(), std::logic_error);
-}
-
-TEST(Registry, DequantCodebookMatchesScalarDecode) {
-  const std::vector<float>* cb = dequant_codebook("fp_e4m3");
-  ASSERT_NE(cb, nullptr);
-  ASSERT_EQ(cb->size(), size_t(1) << 8);
-  auto f = make_format("fp_e4m3");
-  for (uint64_t p = 0; p < cb->size(); ++p) {
-    const float expect = f->format_to_real(BitString(p, 8));
-    const float got = (*cb)[static_cast<size_t>(p)];
-    if (std::isnan(expect)) {
-      EXPECT_TRUE(std::isnan(got)) << "pattern " << p;
-    } else {
-      EXPECT_EQ(expect, got) << "pattern " << p;
-    }
-  }
-  // Same spec returns the same cached table.
-  EXPECT_EQ(dequant_codebook("fp_e4m3"), cb);
-}
-
-TEST(Registry, DequantCodebookCoversPositToo) {
-  const std::vector<float>* cb = dequant_codebook("posit_8_1");
-  ASSERT_NE(cb, nullptr);
-  EXPECT_EQ(cb->size(), size_t(1) << 8);
-}
-
-TEST(Registry, DequantCodebookNullForMetadataOrWideFormats) {
-  EXPECT_EQ(dequant_codebook("int8"), nullptr);       // per-tensor scale
-  EXPECT_EQ(dequant_codebook("bfp_e5m5_b16"), nullptr);
-  EXPECT_EQ(dequant_codebook("afp_e4m3"), nullptr);   // per-tensor bias
-  EXPECT_EQ(dequant_codebook("fp_e8m23"), nullptr);   // 32 bits: too wide
-  EXPECT_THROW(dequant_codebook("not_a_spec"), std::invalid_argument);
 }
 
 }  // namespace
