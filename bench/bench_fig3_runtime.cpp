@@ -14,13 +14,22 @@
 // per-tensor work: emulated FP32 (the identity) at native, then the
 // value-only formats (FP16/bfloat16, FxP), then the metadata formats (AFP,
 // INT8, BFP), all within about 1.4x of native (EXPERIMENTS.md).
+//
+// Native speed is the one FP32 GEMM's, so the bench also reports its
+// GFLOP/s per micro-kernel path the CPU supports (portable, AVX2,
+// AVX-512F): 512^3 at 1 and at N threads, and tiny_resnet's batch-32 conv
+// products at 1 thread, as a campaign trial runs them.
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
 #include <memory>
 #include <optional>
 
 #include "core/injector.hpp"
 #include "harness.hpp"
+#include "parallel/thread_pool.hpp"
+#include "tensor/rng.hpp"
+#include "tensor/tensor_ops.hpp"
 
 namespace {
 
@@ -122,9 +131,67 @@ void register_all(const std::string& model_name) {
   }
 }
 
+void run_gemm(benchmark::State& state, ops::testing::GemmPath path,
+              int64_t M, int64_t K, int64_t N, int threads) {
+  const ops::testing::GemmPath saved_path = ops::testing::gemm_path();
+  const int saved_threads = parallel::num_threads();
+  ops::testing::force_gemm_path(path);
+  parallel::set_num_threads(threads);
+  Rng rng(5);
+  const Tensor a = rng.normal_tensor({M, K});
+  const Tensor b = rng.normal_tensor({K, N});
+  Tensor c({M, N});
+  for (auto _ : state) {
+    ops::gemm(ConstTensorView(a), ConstTensorView(b), c.data(), N);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.counters["gflops"] = benchmark::Counter(
+      2e-9 * static_cast<double>(M * K * N) *
+          static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  ops::testing::force_gemm_path(saved_path);
+  parallel::set_num_threads(saved_threads);
+}
+
+void register_gemm_paths() {
+  struct Shape {
+    int64_t M, K, N;
+  };
+  // tiny_resnet (width 8) on a batch of 32 16x16 images: im2col rows x
+  // patch x out channels of the stem and each stage's 3x3 convs.
+  const Shape convs[] = {{8192, 27, 8},   {8192, 72, 8},  {2048, 72, 16},
+                         {2048, 144, 16}, {512, 144, 32}, {512, 288, 32}};
+  const int many = parallel::num_threads();
+  for (const auto path : ops::testing::kGemmPaths) {
+    const std::string name = ops::testing::gemm_path_name(path);
+    if (!ops::testing::gemm_path_supported(path)) {
+      std::fprintf(stderr, "[fig3] skipped gemm path %s: this CPU lacks it\n",
+                   name.c_str());
+      continue;
+    }
+    auto add = [&](const Shape& s, int threads) {
+      const std::string label =
+          "gemm/" + name + "/" + std::to_string(s.M) + "x" +
+          std::to_string(s.K) + "x" + std::to_string(s.N) +
+          "/threads:" + std::to_string(threads);
+      benchmark::RegisterBenchmark(label.c_str(),
+                                   [path, s, threads](benchmark::State& st) {
+                                     run_gemm(st, path, s.M, s.K, s.N,
+                                              threads);
+                                   })
+          ->Unit(benchmark::kMillisecond)
+          ->UseRealTime();
+    };
+    add({512, 512, 512}, 1);
+    if (many > 1) add({512, 512, 512}, many);
+    for (const Shape& s : convs) add(s, 1);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  register_gemm_paths();
   register_all("simple_cnn");
   register_all("tiny_deit");
   return ge::bench::run_benchmarks(argc, argv, "fig3_runtime");

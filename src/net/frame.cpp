@@ -89,7 +89,7 @@ const char* frame_type_name(FrameType t) {
 std::vector<uint8_t> encode_frame(const Frame& f) {
   std::vector<uint8_t> out;
   out.reserve(kFrameHeaderSize + f.payload.size());
-  out.insert(out.end(), kFrameMagic, kFrameMagic + 4);
+  for (const char ch : kFrameMagic) out.push_back(static_cast<uint8_t>(ch));
   put_u32(out, kProtocolVersion);
   out.push_back(uint8_t(f.type));
   put_u64(out, f.payload.size());

@@ -122,116 +122,6 @@ std::vector<int64_t> argmax_rows(const Tensor& a) {
   return out;
 }
 
-// The one FP32 GEMM. Every matmul, conv and attention head runs it, so
-// there is one accumulation policy: each output element is one FP32
-// accumulator that starts at +0.0 and adds a[i,k] * b[k,j] in ascending k.
-// That is the emulated accelerator's native FP32 MAC fabric (DESIGN.md §1:
-// "native" = the hardware's own format). No term is skipped — a zero times
-// an Inf is NaN, as on IEEE hardware — and skipping would not change a
-// finite result anyway: an accumulator that starts at +0.0 never becomes
-// -0.0 under round-to-nearest, and adding +-0.0 to anything else is exact.
-// For the same reason writing C equals adding C onto a zeroed buffer.
-//
-// B is packed once per call into k-major panels kPanel columns wide (the
-// tail panel zero-padded); a kRows x kPanel tile of accumulators then walks
-// k, so the compiler vectorises across j without reordering any one
-// output's sum. Row blocks are the parallel axis; their boundaries do not
-// touch the arithmetic, so results are bitwise identical at any
-// GE_NUM_THREADS and for any operand strides.
-
-namespace {
-
-constexpr int64_t kPanel = 8;
-constexpr int64_t kRows = 4;
-
-void check_gemm_shapes(const ConstTensorView& a, const ConstTensorView& b) {
-  if (a.dim() != 2 || b.dim() != 2 || a.size(1) != b.size(0)) {
-    throw std::invalid_argument("gemm: bad shapes " +
-                                shape_to_string(a.shape()) + " x " +
-                                shape_to_string(b.shape()));
-  }
-}
-
-/// R rows of A (row stride sa_i, column stride sa_k) times one packed B
-/// panel; writes the first `width` columns of the R x kPanel tile to c.
-template <int64_t R>
-void gemm_tile(const float* a, int64_t sa_i, int64_t sa_k,
-               const float* panel, int64_t K, float* c, int64_t ldc,
-               int64_t width) {
-  float acc[R][kPanel] = {};
-  for (int64_t k = 0; k < K; ++k) {
-    const float* bk = panel + k * kPanel;
-    for (int64_t r = 0; r < R; ++r) {
-      const float av = a[r * sa_i + k * sa_k];
-      for (int64_t j = 0; j < kPanel; ++j) acc[r][j] += av * bk[j];
-    }
-  }
-  for (int64_t r = 0; r < R; ++r) {
-    std::copy(acc[r], acc[r] + width, c + r * ldc);
-  }
-}
-
-Tensor product(const ConstTensorView& a, const ConstTensorView& b) {
-  check_gemm_shapes(a, b);
-  Tensor out({a.size(0), b.size(1)});
-  gemm(a, b, out.data(), b.size(1));
-  return out;
-}
-
-}  // namespace
-
-void gemm(const ConstTensorView& a, const ConstTensorView& b, float* c,
-          int64_t ldc) {
-  check_gemm_shapes(a, b);
-  const int64_t M = a.size(0), K = a.size(1), N = b.size(1);
-  if (ldc < N) throw std::invalid_argument("gemm: ldc below N");
-  if (M == 0 || N == 0) return;
-
-  const int64_t panels = (N + kPanel - 1) / kPanel;
-  Tensor packed({panels * K * kPanel});
-  float* pp = packed.data();
-  const float* pb = b.storage() + b.offset();
-  const int64_t sb_k = b.strides()[0], sb_j = b.strides()[1];
-  for (int64_t p = 0; p < panels; ++p) {
-    const int64_t j0 = p * kPanel, width = std::min(kPanel, N - j0);
-    float* dst = pp + p * K * kPanel;
-    for (int64_t k = 0; k < K; ++k) {
-      for (int64_t j = 0; j < width; ++j) {
-        dst[k * kPanel + j] = pb[k * sb_k + (j0 + j) * sb_j];
-      }
-    }
-  }
-
-  const float* pa = a.storage() + a.offset();
-  const int64_t sa_i = a.strides()[0], sa_k = a.strides()[1];
-  parallel::parallel_for(
-      0, (M + kRows - 1) / kRows, parallel::grain_for(kRows * K * N),
-      [&](int64_t lo, int64_t hi) {
-        const int64_t i_end = std::min(M, hi * kRows);
-        for (int64_t p = 0; p < panels; ++p) {
-          const float* panel = pp + p * K * kPanel;
-          const int64_t j0 = p * kPanel, width = std::min(kPanel, N - j0);
-          int64_t i = lo * kRows;
-          for (; i + kRows <= i_end; i += kRows) {
-            gemm_tile<kRows>(pa + i * sa_i, sa_i, sa_k, panel, K,
-                             c + i * ldc + j0, ldc, width);
-          }
-          for (; i < i_end; ++i) {
-            gemm_tile<1>(pa + i * sa_i, sa_i, sa_k, panel, K,
-                         c + i * ldc + j0, ldc, width);
-          }
-        }
-      });
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  return product(ConstTensorView(a), ConstTensorView(b));
-}
-
-Tensor matmul_bt(const Tensor& a, const Tensor& b_t) {
-  return product(ConstTensorView(a), ConstTensorView(b_t).transposed());
-}
-
 Tensor softmax_lastdim(const Tensor& a) {
   const int64_t cols = a.size(-1);
   const int64_t rows = a.numel() / cols;

@@ -41,6 +41,22 @@ Tensor matmul(const Tensor& a, const Tensor& b);
 /// Dense (M,K) x (N,K)^T -> (M,N): the Linear-layer product.
 Tensor matmul_bt(const Tensor& a, const Tensor& b_t);
 
+/// Test and bench hooks for the GEMM's per-ISA micro-kernels. gemm runs
+/// the widest path the CPU supports, chosen once per process; every path
+/// gives bitwise the same C, and these hooks let a test prove it.
+namespace testing {
+enum class GemmPath { kPortable, kAvx2, kAvx512f };
+inline constexpr GemmPath kGemmPaths[] = {GemmPath::kPortable, GemmPath::kAvx2,
+                                          GemmPath::kAvx512f};
+const char* gemm_path_name(GemmPath path);
+bool gemm_path_supported(GemmPath path);
+/// The path gemm runs now.
+GemmPath gemm_path();
+/// Make every later gemm call (process-wide) run `path`; throws
+/// std::invalid_argument when the CPU lacks it.
+void force_gemm_path(GemmPath path);
+}  // namespace testing
+
 /// --- softmax family ---------------------------------------------------------
 /// Numerically-stable softmax over the last dimension.
 Tensor softmax_lastdim(const Tensor& a);

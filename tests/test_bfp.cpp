@@ -112,7 +112,9 @@ TEST(Bfp, MetadataFlipScalesWholeBlockOnly) {
   EXPECT_TRUE(std::fabs(ratio - 2.0f) < 1e-5f ||
               std::fabs(ratio - 0.5f) < 1e-5f);
   for (int64_t i = 0; i < 4; ++i) {
-    if (q[i] != 0.0f) EXPECT_NEAR(corrupted[i] / q[i], ratio, 1e-5f);
+    if (q[i] != 0.0f) {
+      EXPECT_NEAR(corrupted[i] / q[i], ratio, 1e-5f);
+    }
   }
   for (int64_t i = 4; i < 8; ++i) {
     EXPECT_EQ(corrupted[i], q[i]);  // block 1 untouched

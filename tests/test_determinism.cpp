@@ -15,6 +15,7 @@
 #include "core/campaign.hpp"
 #include "formats/format_registry.hpp"
 #include "data/synthetic.hpp"
+#include "gemm_paths.hpp"
 #include "io/campaign_state.hpp"
 #include "models/model_factory.hpp"
 #include "nn/activation.hpp"
@@ -221,14 +222,19 @@ TEST(Determinism, TelemetryDoesNotPerturbCampaignResults) {
 // The digest function itself now lives in the library (campaign_digest,
 // core/campaign.cpp) so the CLI prints the exact value pinned here.
 
+/// Every PinnedDigest* test runs once per GEMM path the CPU supports
+/// (test::for_each_gemm_path): the digests pin the FP32 MAC fabric's
+/// results, which no micro-kernel may change.
 void expect_pinned_digest(CampaignConfig cfg, uint64_t want) {
   ThreadGuard guard;
-  for (int threads : {1, 4}) {
-    Fixture f;
-    parallel::set_num_threads(threads);
-    const CampaignResult r = run_campaign(*f.model, f.batch, cfg);
-    EXPECT_EQ(campaign_digest(r), want) << "threads=" << threads;
-  }
+  test::for_each_gemm_path([&] {
+    for (int threads : {1, 4}) {
+      Fixture f;
+      parallel::set_num_threads(threads);
+      const CampaignResult r = run_campaign(*f.model, f.batch, cfg);
+      EXPECT_EQ(campaign_digest(r), want) << "threads=" << threads;
+    }
+  });
 }
 
 TEST(Determinism, PinnedDigestActivationCampaign) {
@@ -315,20 +321,22 @@ TEST(Determinism, PinnedDigestSurvivesSharding) {
   const uint64_t want = 0x347820fff760869bULL;
   const CampaignConfig cfg = campaign_cfg(/*with_replicas=*/true);
   ThreadGuard guard;
-  for (int threads : {1, 4}) {
-    parallel::set_num_threads(threads);
-    std::vector<CampaignProgress> parts;
-    for (int i = 0; i < 3; ++i) {
-      Fixture f;
-      CampaignRunOptions opts;
-      opts.shards = 3;
-      opts.shard_index = i;
-      parts.push_back(run_campaign_trials(*f.model, f.batch, cfg, opts));
+  test::for_each_gemm_path([&] {
+    for (int threads : {1, 4}) {
+      parallel::set_num_threads(threads);
+      std::vector<CampaignProgress> parts;
+      for (int i = 0; i < 3; ++i) {
+        Fixture f;
+        CampaignRunOptions opts;
+        opts.shards = 3;
+        opts.shard_index = i;
+        parts.push_back(run_campaign_trials(*f.model, f.batch, cfg, opts));
+      }
+      const CampaignResult r =
+          finalize_campaign(merge_campaign_progress(parts));
+      EXPECT_EQ(campaign_digest(r), want) << "threads=" << threads;
     }
-    const CampaignResult r =
-        finalize_campaign(merge_campaign_progress(parts));
-    EXPECT_EQ(campaign_digest(r), want) << "threads=" << threads;
-  }
+  });
 }
 
 TEST(Determinism, PinnedDigestSurvivesResume) {
@@ -336,28 +344,30 @@ TEST(Determinism, PinnedDigestSurvivesResume) {
   const uint64_t want = 0x347820fff760869bULL;
   const CampaignConfig cfg = campaign_cfg(/*with_replicas=*/true);
   ThreadGuard guard;
-  for (int threads : {1, 4}) {
-    parallel::set_num_threads(threads);
-    const std::string path = "/tmp/ge_test_determinism_resume.gec";
-    {
+  test::for_each_gemm_path([&] {
+    for (int threads : {1, 4}) {
+      parallel::set_num_threads(threads);
+      const std::string path = "/tmp/ge_test_determinism_resume.gec";
+      {
+        Fixture f;
+        CampaignRunOptions opts;
+        opts.checkpoint_every = 3;
+        opts.checkpoint_path = path;
+        opts.abort_after = 8;
+        run_campaign_trials(*f.model, f.batch, cfg, opts);
+      }
       Fixture f;
+      const CampaignProgress saved = io::load_campaign_progress(path);
+      EXPECT_GT(saved.completed_trials(), 0);
+      EXPECT_LT(saved.completed_trials(), saved.total_trials());
       CampaignRunOptions opts;
-      opts.checkpoint_every = 3;
-      opts.checkpoint_path = path;
-      opts.abort_after = 8;
-      run_campaign_trials(*f.model, f.batch, cfg, opts);
+      opts.resume_from = &saved;
+      const CampaignResult r =
+          finalize_campaign(run_campaign_trials(*f.model, f.batch, cfg, opts));
+      EXPECT_EQ(campaign_digest(r), want) << "threads=" << threads;
+      std::remove(path.c_str());
     }
-    Fixture f;
-    const CampaignProgress saved = io::load_campaign_progress(path);
-    EXPECT_GT(saved.completed_trials(), 0);
-    EXPECT_LT(saved.completed_trials(), saved.total_trials());
-    CampaignRunOptions opts;
-    opts.resume_from = &saved;
-    const CampaignResult r =
-        finalize_campaign(run_campaign_trials(*f.model, f.batch, cfg, opts));
-    EXPECT_EQ(campaign_digest(r), want) << "threads=" << threads;
-    std::remove(path.c_str());
-  }
+  });
 }
 
 TEST(Determinism, PinnedDigestUnchangedWithFullAnalyticsOn) {
@@ -368,27 +378,29 @@ TEST(Determinism, PinnedDigestUnchangedWithFullAnalyticsOn) {
   const uint64_t want = 0x347820fff760869bULL;
   const CampaignConfig cfg = campaign_cfg(/*with_replicas=*/true);
   ThreadGuard guard;
-  for (int threads : {1, 4}) {
-    Fixture f;
-    parallel::set_num_threads(threads);
-    obs::TelemetryScope scope(/*tracing=*/true, /*metrics=*/true);
-    obs::reset_all();
-    obs::MetricsServer server(/*port=*/0);
-    ASSERT_TRUE(server.ok()) << server.last_error();
-    std::ostringstream report;
-    obs::RunLog log(report);
-    CampaignRunOptions opts;
-    opts.run_log = &log;
-    const CampaignResult r =
-        finalize_campaign(run_campaign_trials(*f.model, f.batch, cfg, opts));
-    EXPECT_EQ(campaign_digest(r), want) << "threads=" << threads;
-    // and the stream actually carried the v2 analytics records
-    const std::string text = report.str();
-    EXPECT_NE(text.find("\"type\":\"trial\""), std::string::npos);
-    EXPECT_NE(text.find("\"type\":\"heartbeat\""), std::string::npos);
-    EXPECT_NE(text.find("\"class\":"), std::string::npos);
-    obs::reset_all();
-  }
+  test::for_each_gemm_path([&] {
+    for (int threads : {1, 4}) {
+      Fixture f;
+      parallel::set_num_threads(threads);
+      obs::TelemetryScope scope(/*tracing=*/true, /*metrics=*/true);
+      obs::reset_all();
+      obs::MetricsServer server(/*port=*/0);
+      ASSERT_TRUE(server.ok()) << server.last_error();
+      std::ostringstream report;
+      obs::RunLog log(report);
+      CampaignRunOptions opts;
+      opts.run_log = &log;
+      const CampaignResult r =
+          finalize_campaign(run_campaign_trials(*f.model, f.batch, cfg, opts));
+      EXPECT_EQ(campaign_digest(r), want) << "threads=" << threads;
+      // and the stream actually carried the v2 analytics records
+      const std::string text = report.str();
+      EXPECT_NE(text.find("\"type\":\"trial\""), std::string::npos);
+      EXPECT_NE(text.find("\"type\":\"heartbeat\""), std::string::npos);
+      EXPECT_NE(text.find("\"class\":"), std::string::npos);
+      obs::reset_all();
+    }
+  });
 }
 
 TEST(Determinism, PinnedDigestUnchangedWithProfilingOn) {
@@ -407,32 +419,34 @@ TEST(Determinism, PinnedDigestUnchangedWithProfilingOn) {
       {"int8", InjectionSite::kWeightValue, 0x05ebde590ffab9b7ULL},
   };
   ThreadGuard guard;
-  for (const Pinned& pin : pins) {
-    CampaignConfig cfg = campaign_cfg(/*with_replicas=*/true);
-    cfg.format_spec = pin.spec;
-    cfg.site = pin.site;
-    for (int threads : {1, 4}) {
-      Fixture f;
-      parallel::set_num_threads(threads);
-      obs::TelemetryScope scope(/*tracing=*/false, /*metrics=*/true);
-      obs::ProfilingScope prof(true);
-      obs::reset_all();
-      const CampaignResult r = run_campaign(*f.model, f.batch, cfg);
-      EXPECT_EQ(campaign_digest(r), pin.want)
-          << pin.spec << " threads=" << threads;
-      // and the aggregate actually saw the campaign's trial spans, keyed
-      // by the campaign's format attribution
-      bool saw_trial = false;
-      for (const auto& s : obs::profile_snapshot()) {
-        if (s.category == "campaign" && s.name == "trial" &&
-            s.format == pin.spec) {
-          saw_trial = true;
+  test::for_each_gemm_path([&] {
+    for (const Pinned& pin : pins) {
+      CampaignConfig cfg = campaign_cfg(/*with_replicas=*/true);
+      cfg.format_spec = pin.spec;
+      cfg.site = pin.site;
+      for (int threads : {1, 4}) {
+        Fixture f;
+        parallel::set_num_threads(threads);
+        obs::TelemetryScope scope(/*tracing=*/false, /*metrics=*/true);
+        obs::ProfilingScope prof(true);
+        obs::reset_all();
+        const CampaignResult r = run_campaign(*f.model, f.batch, cfg);
+        EXPECT_EQ(campaign_digest(r), pin.want)
+            << pin.spec << " threads=" << threads;
+        // and the aggregate actually saw the campaign's trial spans, keyed
+        // by the campaign's format attribution
+        bool saw_trial = false;
+        for (const auto& s : obs::profile_snapshot()) {
+          if (s.category == "campaign" && s.name == "trial" &&
+              s.format == pin.spec) {
+            saw_trial = true;
+          }
         }
+        EXPECT_TRUE(saw_trial) << pin.spec << " threads=" << threads;
+        obs::reset_all();
       }
-      EXPECT_TRUE(saw_trial) << pin.spec << " threads=" << threads;
-      obs::reset_all();
     }
-  }
+  });
 }
 
 TEST(Determinism, RepeatedCampaignOnSameModelIsStable) {

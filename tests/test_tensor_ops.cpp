@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <vector>
 
+#include "gemm_paths.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -207,6 +210,146 @@ TEST(Gemm, ZeroTimesInfIsNaN) {
   }
   EXPECT_TRUE(std::isnan(ops::matmul(a, b)[0]));
   EXPECT_TRUE(std::isnan(ops::matmul_bt(a, transposed_copy(b))[0]));
+}
+
+/// The operand contents the cross-path test feeds the GEMM. Each special
+/// case is built so every output's result is defined bit for bit by IEEE
+/// arithmetic alone: an output meets at most one NaN payload (which NaN an
+/// FP unit keeps when both operands are NaNs is the one thing a compiler
+/// may legally change by swapping the operands of a commutative multiply or
+/// add), or only the one default NaN that 0 x Inf and Inf - Inf produce.
+enum class Fill {
+  kNormal,       // N(0, 1)
+  kNanInA,       // one NaN (distinct payload, sign, quiet or signalling)
+                 // in every third row of A; B finite, with -0 and denormals
+  kNanInB,       // the same in every third column of B; A finite
+  kInfAndZeros,  // +-Inf, +-0, denormals and normals on both sides
+  kDenormals,    // denormals, -0 and values whose products underflow
+};
+
+constexpr Fill kFills[] = {Fill::kNormal, Fill::kNanInA, Fill::kNanInB,
+                           Fill::kInfAndZeros, Fill::kDenormals};
+
+float float_from_bits(uint32_t u) {
+  float f;
+  std::memcpy(&f, &u, sizeof f);
+  return f;
+}
+
+/// A NaN with a payload unique to `id`: sign from bit 0, quiet or
+/// signalling from bit 1 (a signalling NaN comes out quieted, with the same
+/// payload).
+float payload_nan(int64_t id) {
+  const uint32_t sign = (id & 1) ? 0x80000000u : 0u;
+  const uint32_t quiet = (id & 2) ? 0x00400000u : 0u;
+  const uint32_t payload = 0x1000u + static_cast<uint32_t>(id) * 0x111u;
+  return float_from_bits(sign | 0x7f800000u | quiet | payload);
+}
+
+/// A value drawn for `fill` from a mix of specials (no NaN).
+float special_value(Rng& rng, Fill fill) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  switch (fill == Fill::kInfAndZeros ? rng.randint(0, 5)
+                                     : rng.randint(2, 5)) {
+    case 0:
+      return rng.randint(0, 1) ? inf : -inf;
+    case 1:
+      return rng.randint(0, 1) ? 0.0f : -0.0f;
+    case 2:
+      return -0.0f;
+    case 3:
+      return static_cast<float>(rng.randint(1, 1000)) * denorm *
+             (rng.randint(0, 1) ? 1.0f : -1.0f);
+    case 4:  // products with a denormal or another tiny value underflow
+      return rng.normal() * 1e-20f;
+    default:
+      return rng.normal();
+  }
+}
+
+/// The logical A (M, K) and B (K, N) of one cross-path case.
+std::pair<Tensor, Tensor> fill_operands(int64_t M, int64_t K, int64_t N,
+                                        Fill fill, Rng& rng) {
+  Tensor a = rng.normal_tensor({M, K});
+  Tensor b = rng.normal_tensor({K, N});
+  if (fill == Fill::kNormal) return {a, b};
+  if (fill != Fill::kNanInA) {
+    for (float& v : a.flat()) v = special_value(rng, fill);
+  }
+  if (fill != Fill::kNanInB) {
+    for (float& v : b.flat()) v = special_value(rng, fill);
+  }
+  if (fill == Fill::kNanInA && K > 0) {
+    for (int64_t i = 0; i < M; i += 3) a[i * K + (i * 7) % K] = payload_nan(i);
+  }
+  if (fill == Fill::kNanInB && K > 0) {
+    for (int64_t j = 0; j < N; j += 3) b[(j * 5) % K * N + j] = payload_nan(j);
+  }
+  return {a, b};
+}
+
+TEST(Gemm, EveryDispatchedPathMatchesPortableBitwise) {
+  // (M, K, N) around every path's tile: M mod 8 != 0 (4- and 8-row tiles),
+  // N mod 16 and N mod 8 != 0 (8- and 16-wide panels), K = 0 and K = 1,
+  // and one product large enough to split into parallel row blocks.
+  const int64_t shapes[][3] = {{1, 1, 1},    {7, 1, 9},    {9, 0, 17},
+                               {13, 5, 15},  {8, 7, 16},   {16, 12, 8},
+                               {17, 33, 23}, {35, 40, 47}, {130, 64, 70}};
+  Rng rng(11);
+  for (const auto& s : shapes) {
+    const int64_t M = s[0], K = s[1], N = s[2];
+    for (const Fill fill : kFills) {
+      const auto [a, b] = fill_operands(M, K, N, fill, rng);
+      // The definition: one FP32 accumulator from +0.0, ascending k.
+      std::vector<float> ref(static_cast<size_t>(M * N));
+      for (int64_t i = 0; i < M; ++i) {
+        for (int64_t j = 0; j < N; ++j) {
+          float acc = 0.0f;
+          for (int64_t k = 0; k < K; ++k) acc += a[i * K + k] * b[k * N + j];
+          ref[static_cast<size_t>(i * N + j)] = acc;
+        }
+      }
+      for (const Layout layout : kLayouts) {
+        for (const int64_t ldc : {N, N + 3}) {
+          test::GemmPathGuard guard;
+          ops::testing::force_gemm_path(ops::testing::GemmPath::kPortable);
+          const Tensor portable = run_gemm(a, b, layout, ldc);
+          for (int64_t i = 0; i < M; ++i) {
+            ASSERT_EQ(std::memcmp(portable.cdata() + i * ldc,
+                                  ref.data() + i * N,
+                                  sizeof(float) * static_cast<size_t>(N)),
+                      0)
+                << "portable vs definition: M=" << M << " K=" << K
+                << " N=" << N << " fill " << static_cast<int>(fill)
+                << " layout " << static_cast<int>(layout) << " row " << i;
+          }
+          test::for_each_gemm_path([&] {
+            const Tensor c = run_gemm(a, b, layout, ldc);
+            EXPECT_EQ(std::memcmp(c.cdata(), portable.cdata(),
+                                  sizeof(float) * static_cast<size_t>(M * ldc)),
+                      0)
+                << "M=" << M << " K=" << K << " N=" << N << " fill "
+                << static_cast<int>(fill) << " layout "
+                << static_cast<int>(layout) << " ldc " << ldc;
+          });
+        }
+      }
+    }
+  }
+}
+
+TEST(Gemm, ForcingAnUnsupportedPathThrows) {
+  for (const auto path : ops::testing::kGemmPaths) {
+    if (ops::testing::gemm_path_supported(path)) continue;
+    EXPECT_THROW(ops::testing::force_gemm_path(path), std::invalid_argument);
+  }
+  // The host's widest path is the one gemm runs by default.
+  ops::testing::GemmPath widest = ops::testing::GemmPath::kPortable;
+  for (const auto path : ops::testing::kGemmPaths) {
+    if (ops::testing::gemm_path_supported(path)) widest = path;
+  }
+  EXPECT_EQ(ops::testing::gemm_path(), widest);
 }
 
 TEST(Softmax, RowsSumToOne) {
